@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .ncpoly import Algebra, Generator
-from .scalars import ONE, VScalar, qpow, vpow
+from .scalars import ONE, qpow
 
 
 def _matrix_rule_pair(g: Generator, h: Generator):

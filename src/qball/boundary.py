@@ -18,9 +18,11 @@ integral (the constant-term functional).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .algebras import bidegree, boundary_algebra
 from .linalg import rref
-from .ncpoly import Algebra, NCPoly
+from .ncpoly import NCPoly
 from .scalars import ONE, VScalar, ZERO, qpow
 
 
@@ -41,14 +43,9 @@ def _span_basis(n: int):
     return alg, words
 
 
-_REDUCERS: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _reducer(n: int):
     """RREF of the relation span, as a list of (pivot index, row)."""
-    hit = _REDUCERS.get(n)
-    if hit is not None:
-        return hit
     alg, words = _span_basis(n)
     pos = {w: i for i, w in enumerate(words)}
     rels = []
@@ -79,8 +76,7 @@ def _reducer(n: int):
         rules.append((order[p], {c: row[i]
                                  for i, c in enumerate(order)
                                  if i != p and not row[i].is_zero()}))
-    _REDUCERS[n] = (alg, words, pos, dict(rules))
-    return _REDUCERS[n]
+    return alg, words, pos, dict(rules)
 
 
 def shilov_reduce(p: NCPoly) -> NCPoly:

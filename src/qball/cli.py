@@ -6,22 +6,17 @@
     qball limits --n 2
 
 Exit codes: 0 all PASS, 1 any FAIL, 2 usage or parse error, 3 SKIPPED only.
-The worker pool for `--suite all` is bounded by the QBALL_THREADS
-environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .parser import ExprError, parse_expr
 from .render import poly_text
-from .reports import Report
 from .suites import SUITE_NAMES, run_suite, suite_limits
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_SKIPPED = 0, 1, 2, 3
@@ -97,16 +92,9 @@ def cmd_verify(args) -> int:
         print("error: need n >= 1 and cutoff >= 0", file=sys.stderr)
         return EXIT_USAGE
     v0 = _parse_v0(args.eval_v)
-    if args.suite != "all":
-        reports = [run_suite(args.suite, args.n, args.cutoff, v0)]
-        return _emit(reports, args.output)
-    threads = os.environ.get("QBALL_THREADS")
-    workers = max(1, int(threads)) if threads else min(4, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(name, pool.submit(run_suite, name, args.n, args.cutoff, v0))
-                   for name in SUITE_NAMES]
-        reports = [f.result() for _, f in futures]
-    return _emit(reports, args.output)
+    names = SUITE_NAMES if args.suite == "all" else [args.suite]
+    return _emit([run_suite(name, args.n, args.cutoff, v0) for name in names],
+                 args.output)
 
 
 def cmd_limits(args) -> int:

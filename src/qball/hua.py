@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .boundary import N1Boundary, shilov_reduce
-from .kernels import Kernel, p_component, poisson_integral_n1, poisson_kernel
+from .boundary import shilov_reduce
+from .kernels import Kernel, poisson_integral_n1, poisson_kernel
 from .ncpoly import NCPoly
 from .polmat import TruncatedSeries
 from .render import poly_text

@@ -25,6 +25,8 @@ Poisson kernel are exact.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .algebras import bidegree, boundary_algebra, pol_algebra, star_poly
 from .boundary import N1Boundary, nu_n1
 from .ncpoly import Algebra, NCPoly
@@ -32,7 +34,7 @@ from .polmat import TruncatedSeries, y_element
 from .qmatrix import l_pairs, qminor, subsets_k
 from .scalars import ONE, VScalar, ZERO, neg_qpow, qpow, vpow
 from .uqact import (ActionTables, UqGen, boundary_tables, chevalley_gens,
-                    counit, pol_tables, tables_for)
+                    counit, pol_tables)
 
 
 class PowerSignatureError(ValueError):
@@ -207,18 +209,17 @@ class KernelSpace:
         return Kernel(self, terms, False)
 
 
-_SPACES: dict = {}
-
-
 def poisson_space(n: int, cutoff: int) -> KernelSpace:
-    key = (n, cutoff)
-    hit = _SPACES.get(key)
-    if hit is None:
-        leg1 = LegContext(pol_algebra(n), pol_tables(n), "z")
-        leg2 = LegContext(boundary_algebra(n), boundary_tables(n), "zeta")
-        hit = KernelSpace(n, cutoff, leg1, leg2)
-        _SPACES[key] = hit
-    return hit
+    """The shared space at (n, cutoff): kernels are compatible only when
+    their spaces are the same object."""
+    return _space(n, cutoff)
+
+
+@lru_cache(maxsize=None)
+def _space(n: int, cutoff: int) -> KernelSpace:
+    leg1 = LegContext(pol_algebra(n), pol_tables(n), "z")
+    leg2 = LegContext(boundary_algebra(n), boundary_tables(n), "zeta")
+    return KernelSpace(n, cutoff, leg1, leg2)
 
 
 class Kernel:
@@ -466,16 +467,9 @@ def kinverse(k: Kernel, power: int = 1) -> Kernel:
     return out
 
 
-_Y_POWERS: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _y_power(n: int, m: int) -> NCPoly:
-    key = (n, m)
-    hit = _Y_POWERS.get(key)
-    if hit is None:
-        hit = y_element(n) ** m
-        _Y_POWERS[key] = hit
-    return hit
+    return y_element(n) ** m
 
 
 def substitute_x_inverse(k: Kernel) -> Kernel:
@@ -514,18 +508,19 @@ def eta_shift(k: Kernel) -> Kernel:
                        for key, c in k.terms.items()}, k.truncated)
 
 
-_P_CACHE: dict = {}
-
-
 def poisson_kernel(n: int, cutoff: int, normalized: bool = True) -> Kernel:
     """const * (1 x tau tau*)^n Lbar^-n L^-n with first-leg powers removed.
 
     With ``normalized`` the overall constant is fixed so that the (0,0)
     component is exactly 1 x 1 (the integral operator takes 1 to 1).
+    The raw kernel is built once per (n, cutoff) and cached; the normalized
+    kernel is derived from that one build by scaling, and cached too.
     """
-    hit = _P_CACHE.get((n, cutoff, normalized))
-    if hit is not None:
-        return hit
+    return _normalized_poisson(n, cutoff) if normalized else _raw_poisson(n, cutoff)
+
+
+@lru_cache(maxsize=None)
+def _raw_poisson(n: int, cutoff: int) -> Kernel:
     sp = poisson_space(n, cutoff)
     L = build_L(n, cutoff)
     Lb = build_Lbar(n, cutoff)
@@ -534,13 +529,16 @@ def poisson_kernel(n: int, cutoff: int, normalized: bool = True) -> Kernel:
     praw = substitute_x_inverse(pre * prod)
     if not praw.power_signature() <= {(0, 0, 0, 0)}:
         raise PowerSignatureError("Poisson kernel has residual powers")
-    if normalized:
-        p00 = praw.terms.get((0, 0, 0, 0, (), ()))
-        if p00 is None:
-            raise ValueError("missing constant term; cannot normalise")
-        praw = praw.scale(p00.inverse())
-    _P_CACHE[(n, cutoff, normalized)] = praw
     return praw
+
+
+@lru_cache(maxsize=None)
+def _normalized_poisson(n: int, cutoff: int) -> Kernel:
+    praw = _raw_poisson(n, cutoff)
+    p00 = praw.terms.get((0, 0, 0, 0, (), ()))
+    if p00 is None:
+        raise ValueError("missing constant term; cannot normalise")
+    return praw.scale(p00.inverse())
 
 
 def p_component(P: Kernel, j: int, k: int) -> Kernel:

@@ -7,7 +7,7 @@ Gaussian elimination is plenty.
 
 from __future__ import annotations
 
-from .scalars import VScalar, ZERO, ONE
+from .scalars import ZERO
 
 
 def rref(rows: list) -> tuple:

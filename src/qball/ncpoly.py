@@ -15,7 +15,7 @@ and right-most strategies must agree on random words).
 :class:`NCPoly` is a finite map from canonical words to ``VScalar``
 coefficients with zero values pruned eagerly, so equality is map equality.
 Algebras and polynomials are immutable after construction; the pair-rule
-cache only sees idempotent inserts and may be shared between threads.
+cache only sees idempotent inserts.
 """
 
 from __future__ import annotations
@@ -264,9 +264,3 @@ class NCPoly:
             d = self.word_degree(w, grading)
             out.setdefault(d, {})[w] = c
         return {d: NCPoly(self.alg, t) for d, t in out.items()}
-
-
-def word_bidegree(alg: Algebra, word: tuple, star_classes: frozenset) -> tuple:
-    """(plain count, starred count) of a word, given the starred class names."""
-    k = sum(1 for g in word if alg.gens[g].cls in star_classes)
-    return (len(word) - k, k)

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .algebras import boundary_algebra, pol_algebra, matrix_algebra
 from .ncpoly import Algebra, NCPoly
-from .scalars import ONE, Q, V, VScalar
+from .scalars import Q, V, VScalar
 
 
 class ExprError(ValueError):

@@ -12,16 +12,13 @@ pieces of function theory on top of it:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .algebras import bidegree, matrix_algebra, pol_algebra, star_poly
 from .linalg import solve
 from .ncpoly import Algebra, NCPoly
 from .qmatrix import qdet, qminor, subsets_k
 from .scalars import ONE, VScalar, ZERO, neg_qpow, qpow
-
-
-def wick_normalize(alg: Algebra, word, coeff=ONE) -> NCPoly:
-    """Normal form of a raw z / z* word (generator codes)."""
-    return alg.monomial(tuple(word), coeff)
 
 
 def split_bidegrees(p: NCPoly) -> dict:
@@ -218,23 +215,16 @@ def gl_star_gen(n: int, a: int, alpha: int) -> GLnElement:
     return GLnElement(n, minor.scale(neg_qpow(a + alpha - 2 * n)), 1, reduce=False)
 
 
-_DET_STAR: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _det_star_scale(n: int) -> VScalar:
     """star(det_q) = c * det_q^{-1}; computes and caches c, asserting the shape."""
-    hit = _DET_STAR.get(n)
-    if hit is not None:
-        return hit
     alg = GLnElement.algebra(n)
     det = qdet(alg, n, cls="z")
     starred = GLnElement(n, det, 0).star()
     prod = starred * GLnElement(n, det, 0)
     assert prod.dpow == 0 and set(prod.poly.terms) == {()}, \
         "star(det_q) is not a scalar multiple of det_q^{-1}"
-    c = prod.poly.constant_term()
-    _DET_STAR[n] = c
-    return c
+    return prod.poly.constant_term()
 
 
 def divide_by_central(p: NCPoly, det: NCPoly):

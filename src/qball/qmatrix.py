@@ -11,7 +11,7 @@ from itertools import permutations
 
 from .algebras import matrix_algebra
 from .ncpoly import Algebra, NCPoly
-from .scalars import ONE, neg_qpow
+from .scalars import neg_qpow
 
 
 def _inversions(perm: tuple) -> int:

@@ -6,7 +6,6 @@ The JSON field order is fixed and byte-deterministic for fixed inputs;
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 RESIDUAL_SAMPLE_LIMIT = 8
@@ -45,9 +44,6 @@ class Report:
         if self.note:
             out["note"] = self.note
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def line(self) -> str:
         extra = f" [{self.note}]" if self.note else ""

@@ -13,19 +13,19 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .algebras import boundary_algebra, matrix_algebra, pol_algebra, star_poly
-from .boundary import N1Boundary, nu_n1, shilov_reduce
+from .algebras import (bidegree, boundary_algebra, matrix_algebra, pol_algebra,
+                       star_poly)
+from .boundary import N1Boundary, shilov_reduce
 from .classical import (classical_det_one_minus_zzstar, classical_kernel,
-                        classical_p11, classical_poly, classical_series,
-                        cpoly_letter)
-from .hua import (generator_words, hua_sum_A, match_up_to_scalar,
+                        classical_p11, classical_poly, classical_series)
+from .hua import (generator_words, match_up_to_scalar,
                   p11_formula_kernel, verify_hua_kernel, verify_hua_theorem_n1)
 from .kernels import (Kernel, build_L, build_Lbar, check_invariant, kinverse,
                       p_component, poisson_integral_n1, poisson_kernel,
                       poisson_space)
 from .ncpoly import NCPoly, normalize
-from .polmat import GLnElement, shilov_residuals_gl, split_bidegrees, y_element
-from .qmatrix import centrality_residuals, laplace_residuals, qdet
+from .polmat import GLnElement, shilov_residuals_gl, y_element
+from .qmatrix import centrality_residuals, laplace_residuals
 from .reports import Report
 from .scalars import ONE, PoleError, VScalar, qpow
 from .uqact import (boundary_tables, module_algebra_residuals,
@@ -41,10 +41,7 @@ STAR_PAIRS = 200
 
 
 def _residual_zero(r, v0) -> bool:
-    if isinstance(r, VScalar):
-        sym = r.is_zero()
-    else:
-        sym = r.is_zero()
+    sym = r.is_zero()
     if sym and v0 is not None:
         sym = _numeric_zero(r, v0)
     return sym
@@ -209,18 +206,13 @@ def suite_poisson(n: int, cutoff: int, v0=None) -> Report:
         for k in range(D + 1):
             tele = tele + z ** k * y * zs ** k
         resid = tele - a1.one()
-        high_ok = all(min(*_bideg(a1, w)) > D for w in resid.terms)
+        high_ok = all(min(*bidegree(a1, w)) > D for w in resid.terms)
         checks.append(("telescoping-tail", resid if not high_ok else a1.zero()))
     for label, r in checks:
         if isinstance(r, Kernel):
             rep.truncated = rep.truncated or r.truncated
     _collect(rep, checks, v0)
     return rep
-
-
-def _bideg(alg, w):
-    from .algebras import bidegree
-    return bidegree(alg, w)
 
 
 def suite_p11(n: int, cutoff: int, v0=None) -> Report:

@@ -25,6 +25,7 @@ tests.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .algebras import boundary_algebra, matrix_algebra, pol_algebra, star_poly
@@ -150,22 +151,14 @@ class PolActionTables(ActionTables):
         return e, f, k
 
 
-_TABLES: dict = {}
-
-
+@lru_cache(maxsize=None)
 def tables_for(alg: Algebra, n: int) -> ActionTables:
-    key = (id(alg), n)
-    hit = _TABLES.get(key)
-    if hit is None:
-        first = alg.gens[0].cls
-        if first == "z":
-            hit = PolActionTables(alg, n, "z", "zs")
-        elif first == "zeta":
-            hit = PolActionTables(alg, n, "zeta", "zetas")
-        else:
-            hit = MatrixActionTables(alg, n)
-        _TABLES[key] = hit
-    return hit
+    first = alg.gens[0].cls
+    if first == "z":
+        return PolActionTables(alg, n, "z", "zs")
+    if first == "zeta":
+        return PolActionTables(alg, n, "zeta", "zetas")
+    return MatrixActionTables(alg, n)
 
 
 def pol_tables(n: int) -> ActionTables:

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
+from qball import kernels
 from qball.cli import main
 from qball.parser import ExprError, parse_expr
 from qball.render import poly_text
 from qball.scalars import ONE, qpow, vpow
-from qball.suites import run_suite
+from qball.suites import SUITE_NAMES, run_suite
 
 
 def test_parse_normalizes_via_the_engine():
@@ -116,3 +117,27 @@ def test_cli_eval_v_cross_check():
 def test_cli_limits(capsys):
     assert main(["limits", "--n", "1"]) == 0
     assert "limits" in capsys.readouterr().out
+
+
+def test_cli_verify_all_runs_every_suite_and_builds_p_once(monkeypatch, tmp_path):
+    builds = []
+    substitute = kernels.substitute_x_inverse
+
+    def counted(k):
+        builds.append(k.space.cutoff)
+        return substitute(k)
+
+    monkeypatch.setattr(kernels, "substitute_x_inverse", counted)
+    out_file = tmp_path / "all.json"
+    code = main(["verify", "--suite", "all", "--n", "1", "--cutoff", "6",
+                 "--output", str(out_file)])
+    assert code == 0
+    assert builds == [6]
+
+    def strip(entry):
+        return {k: v for k, v in entry.items() if k != "wall_ms"}
+
+    payload = json.loads(out_file.read_text())
+    assert [entry["suite"] for entry in payload] == SUITE_NAMES
+    assert [strip(entry) for entry in payload] == \
+        [strip(run_suite(name, 1, 6).to_dict()) for name in SUITE_NAMES]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -231,3 +232,26 @@ def test_poisson_integral_basics():
     comp = uz.component(1, 0)
     z = P.space.leg1.alg.gen("z", 1, 1)
     assert comp == z  # the normalised operator sends zeta to z on the nose
+
+
+def _kernel_hash(P) -> str:
+    text = repr(sorted((repr(k), c.to_text()) for k, c in P.terms.items()))
+    return hashlib.sha1(text.encode()).hexdigest()[:12]
+
+
+@pytest.mark.parametrize("n, D, digest, terms", [
+    (1, 4, "e4aaa58b112c", 41),
+    (2, 2, "ffcc205a112a", 411),
+])
+def test_poisson_kernel_golden_hash(n, D, digest, terms):
+    P = poisson_kernel(n, D)
+    assert (_kernel_hash(P), len(P.terms)) == (digest, terms)
+
+
+def test_poisson_cache_ignores_argument_spelling():
+    P = poisson_kernel(1, 4)
+    assert poisson_kernel(1, 4, normalized=True) is P
+    assert poisson_kernel(n=1, cutoff=4) is P
+    raw = poisson_kernel(1, 4, normalized=False)
+    assert poisson_kernel(n=1, cutoff=4, normalized=False) is raw
+    assert poisson_space(n=1, cutoff=4) is poisson_space(1, 4) is P.space
