@@ -156,10 +156,6 @@ def star_poly(p):
     construction.
     """
     alg = p.alg
-    acc = alg.zero()
-    for w, c in p.terms.items():
-        flipped = tuple(alg.code[Generator(star_class(alg.gens[g].cls),
-                                           alg.gens[g].i, alg.gens[g].j)]
-                        for g in reversed(w))
-        acc = acc + alg.monomial(flipped, c)
-    return acc
+    star = [alg.code[Generator(star_class(g.cls), g.i, g.j)] for g in alg.gens]
+    return alg.poly({tuple(star[g] for g in reversed(w)): c
+                     for w, c in p.terms.items()})

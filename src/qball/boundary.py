@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .algebras import bidegree, boundary_algebra
 from .linalg import rref
-from .ncpoly import NCPoly
+from .ncpoly import NCPoly, add_terms
 from .scalars import ONE, VScalar, ZERO, qpow
 
 
@@ -136,26 +136,18 @@ class N1Boundary:
     def from_boundary(p: NCPoly) -> "N1Boundary":
         """Image of an n = 1 boundary-algebra element: zeta^j zeta*^k maps
         to zeta^{j-k} with no q factors (unitarity is an exact relation)."""
-        out: dict = {}
-        for w, c in p.terms.items():
+        def exponent(w):
             j, k = bidegree(p.alg, w)
-            e = j - k
-            out[e] = out.get(e, ZERO) + c
-        return N1Boundary(out)
+            return j - k
+        return N1Boundary(add_terms({}, ((exponent(w), c) for w, c in p.terms.items())))
 
     def __add__(self, other: "N1Boundary") -> "N1Boundary":
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            t[k] = t.get(k, ZERO) + c
-        return N1Boundary(t)
+        return N1Boundary(add_terms(dict(self.terms), other.terms.items()))
 
     def __mul__(self, other: "N1Boundary") -> "N1Boundary":
-        t: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                t[k] = t.get(k, ZERO) + c1 * c2
-        return N1Boundary(t)
+        return N1Boundary(add_terms({}, ((k1 + k2, c1 * c2)
+                                         for k1, c1 in self.terms.items()
+                                         for k2, c2 in other.terms.items())))
 
     def star(self) -> "N1Boundary":
         return N1Boundary({-k: c for k, c in self.terms.items()})

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .kernels import Kernel
-from .ncpoly import NCPoly
+from .ncpoly import NCPoly, add_terms
 from .polmat import TruncatedSeries
 
 
@@ -22,27 +22,12 @@ def cpoly_zero() -> dict:
 
 
 def cpoly_add(p: dict, r: dict) -> dict:
-    out = dict(p)
-    for m, c in r.items():
-        s = out.get(m, Fraction(0)) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
+    return add_terms(dict(p), r.items())
 
 
 def cpoly_mul(p: dict, r: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in r.items():
-            m = tuple(sorted(m1 + m2))
-            s = out.get(m, Fraction(0)) + c1 * c2
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
+    return add_terms({}, ((tuple(sorted(m1 + m2)), c1 * c2)
+                          for m1, c1 in p.items() for m2, c2 in r.items()))
 
 
 def cpoly_scale(p: dict, c: Fraction) -> dict:
@@ -55,16 +40,9 @@ def cpoly_letter(name) -> dict:
 
 def classical_poly(p: NCPoly, v0=1) -> dict:
     """Commutative image of a normal-form polynomial at v = v0."""
-    out: dict = {}
-    for w, c in p.terms.items():
-        letters = tuple(sorted((p.alg.gens[g].cls, p.alg.gens[g].i, p.alg.gens[g].j)
-                               for g in w))
-        s = out.get(letters, Fraction(0)) + c.eval_at(v0)
-        if s:
-            out[letters] = s
-        else:
-            out.pop(letters, None)
-    return out
+    gens = p.alg.gens
+    return add_terms({}, ((tuple(sorted(tuple(gens[g]) for g in w)), c.eval_at(v0))
+                          for w, c in p.terms.items()))
 
 
 def classical_series(u: TruncatedSeries, v0=1) -> dict:
@@ -73,20 +51,13 @@ def classical_series(u: TruncatedSeries, v0=1) -> dict:
 
 def classical_kernel(k: Kernel, v0=1) -> dict:
     """Commutative image of a power-free kernel; both legs commute."""
-    out: dict = {}
-    a1, a2 = k.space.leg1.alg, k.space.leg2.alg
-    for (a, b, c, d, w1, w2), coeff in k.terms.items():
-        if (a, b, c, d) != (0, 0, 0, 0):
-            raise ValueError("classical image of a kernel with powers")
-        letters = tuple(sorted(
-            [(a1.gens[g].cls, a1.gens[g].i, a1.gens[g].j) for g in w1]
-            + [(a2.gens[g].cls, a2.gens[g].i, a2.gens[g].j) for g in w2]))
-        s = out.get(letters, Fraction(0)) + coeff.eval_at(v0)
-        if s:
-            out[letters] = s
-        else:
-            out.pop(letters, None)
-    return out
+    if not k.power_signature() <= {(0, 0, 0, 0)}:
+        raise ValueError("classical image of a kernel with powers")
+    g1, g2 = k.space.leg1.alg.gens, k.space.leg2.alg.gens
+    return add_terms({}, ((tuple(sorted([tuple(g1[g]) for g in w1]
+                                        + [tuple(g2[g]) for g in w2])),
+                           coeff.eval_at(v0))
+                          for (_, _, _, _, w1, w2), coeff in k.terms.items()))
 
 
 def classical_det_one_minus_zzstar(n: int) -> dict:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .parser import ExprError, parse_expr
 from .render import poly_text
@@ -36,8 +35,6 @@ def _build_argparser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", required=True, choices=SUITE_NAMES + ["all"])
     p_ver.add_argument("--n", type=int, default=1)
     p_ver.add_argument("--cutoff", type=int, default=2)
-    p_ver.add_argument("--eval-v", dest="eval_v", default=None,
-                       help="rational v0 for the numeric cross-check pass")
     p_ver.add_argument("--output", default=None, help="write a JSON report")
 
     p_lim = sub.add_parser("limits", help="classical q -> 1 spot checks")
@@ -45,16 +42,6 @@ def _build_argparser() -> argparse.ArgumentParser:
     p_lim.add_argument("--cutoff", type=int, default=2)
     p_lim.add_argument("--output", default=None)
     return ap
-
-
-def _parse_v0(text):
-    if text is None:
-        return None
-    try:
-        v0 = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise SystemExit(EXIT_USAGE)
-    return v0
 
 
 def _emit(reports: list, output) -> int:
@@ -91,9 +78,8 @@ def cmd_verify(args) -> int:
     if args.n < 1 or args.cutoff < 0:
         print("error: need n >= 1 and cutoff >= 0", file=sys.stderr)
         return EXIT_USAGE
-    v0 = _parse_v0(args.eval_v)
     names = SUITE_NAMES if args.suite == "all" else [args.suite]
-    return _emit([run_suite(name, args.n, args.cutoff, v0) for name in names],
+    return _emit([run_suite(name, args.n, args.cutoff) for name in names],
                  args.output)
 
 

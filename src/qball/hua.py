@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .boundary import shilov_reduce
 from .kernels import Kernel, poisson_integral_n1, poisson_kernel
-from .ncpoly import NCPoly
+from .ncpoly import NCPoly, add_terms
 from .polmat import TruncatedSeries
 from .render import poly_text
 from .scalars import ONE, VScalar, ZERO, qpow
@@ -54,18 +54,10 @@ def d2_at_zero_kernel(P: Kernel, b: int, beta: int, a: int, alpha: int) -> NCPol
     basis word z_b^beta (z_a^alpha)*."""
     sp = P.space
     target = _word_11(sp.leg1.alg, b, beta, a, alpha)
-    acc: dict = {}
-    for (ta, tb, tc, td, w1, w2), c in P.terms.items():
-        if w1 != target:
-            continue
-        if (ta, tb, tc, td) != (0, 0, 0, 0):
-            raise ValueError("kernel carries powers; derivative undefined")
-        s = acc.get(w2, ZERO) + c
-        if s.is_zero():
-            acc.pop(w2, None)
-        else:
-            acc[w2] = s
-    return NCPoly(sp.leg2.alg, acc)
+    terms = [(key, c) for key, c in P.terms.items() if key[4] == target]
+    if any(key[:4] != (0, 0, 0, 0) for key, _ in terms):
+        raise ValueError("kernel carries powers; derivative undefined")
+    return NCPoly(sp.leg2.alg, add_terms({}, ((key[5], c) for key, c in terms)))
 
 
 def _weights(n: int, weighted: bool) -> list:
@@ -76,10 +68,9 @@ def hua_sum_A(u, n: int, alpha: int, beta: int, weighted: bool = True):
     """sum_c q^{2c} d2(u; c, beta, c, alpha)."""
     w = _weights(n, weighted)
     if isinstance(u, Kernel):
-        acc = u.space.leg2.alg.zero()
-        for c in range(1, n + 1):
-            acc = acc + d2_at_zero_kernel(u, c, beta, c, alpha).scale(w[c - 1])
-        return acc
+        return u.space.leg2.alg.sum(
+            d2_at_zero_kernel(u, c, beta, c, alpha).scale(w[c - 1])
+            for c in range(1, n + 1))
     acc = ZERO
     for c in range(1, n + 1):
         acc = acc + w[c - 1] * d2_at_zero_series(u, c, beta, c, alpha)
@@ -90,10 +81,8 @@ def hua_sum_B(u, n: int, a: int, b: int, weighted: bool = True):
     """sum_gamma q^{2 gamma} d2(u; a, gamma, b, gamma)."""
     w = _weights(n, weighted)
     if isinstance(u, Kernel):
-        acc = u.space.leg2.alg.zero()
-        for g in range(1, n + 1):
-            acc = acc + d2_at_zero_kernel(u, a, g, b, g).scale(w[g - 1])
-        return acc
+        return u.space.leg2.alg.sum(
+            d2_at_zero_kernel(u, a, g, b, g).scale(w[g - 1]) for g in range(1, n + 1))
     acc = ZERO
     for g in range(1, n + 1):
         acc = acc + w[g - 1] * d2_at_zero_series(u, a, g, b, g)
@@ -199,11 +188,9 @@ def p11_formula_kernel(n: int, cutoff: int) -> Kernel:
                     w2 = (sp.leg2.alg.gen_code("zeta", a, alpha),
                           sp.leg2.alg.gen_code("zetas", b, beta))
                     c = geo * qpow(2 * (2 * n - a - alpha))
-                    key = (0, 0, 0, 0, w1, w2)
-                    terms[key] = terms.get(key, ZERO) + c
+                    add_terms(terms, (((0, 0, 0, 0, w1, w2), c),))
                     if a == b and alpha == beta:
-                        keyc = (0, 0, 0, 0, w1, ())
-                        terms[keyc] = terms.get(keyc, ZERO) - ONE
+                        add_terms(terms, (((0, 0, 0, 0, w1, ()), -ONE),))
     return Kernel(sp, terms)
 
 

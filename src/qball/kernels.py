@@ -21,18 +21,24 @@ pipeline orders products so that contributions to components inside the box
 never route through dropped terms (z-blocks only ever grow to the left of
 z*-blocks before the final y-substitution), so in-box components of the
 Poisson kernel are exact.
+
+Terms are accumulated with ``ncpoly.add_terms``.  A sum of many kernels
+goes through :meth:`KernelSpace.sum`, which adds every summand into one
+dict and constructs the result once, so the bidegree check of
+``Kernel.__init__`` runs once per summand term and once per result term.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterable
 
 from .algebras import bidegree, boundary_algebra, pol_algebra, star_poly
 from .boundary import N1Boundary, nu_n1
-from .ncpoly import Algebra, NCPoly
+from .ncpoly import Algebra, NCPoly, add_terms
 from .polmat import TruncatedSeries, y_element
 from .qmatrix import l_pairs, qminor, subsets_k
-from .scalars import ONE, VScalar, ZERO, neg_qpow, qpow, vpow
+from .scalars import ONE, VScalar, neg_qpow, qpow, vpow
 from .uqact import (ActionTables, UqGen, boundary_tables, chevalley_gens,
                     counit, pol_tables)
 
@@ -98,13 +104,8 @@ def _leg_mul(ctx: LegContext, e1: dict, e2: dict) -> dict:
         s1 = ctx.sdeg(w1)
         for (a2, b2, w2), c2 in e2.items():
             c = c1 * c2 * qpow((a2 + b2) * s1)
-            for w, cw in ctx.alg.monomial(w1 + w2, c).terms.items():
-                key = (a1 + a2, b1 + b2, w)
-                s = out.get(key, ZERO) + cw
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            add_terms(out, (((a1 + a2, b1 + b2, w), cw) for w, cw
+                            in ctx.alg.monomial(w1 + w2, c).terms.items()))
     return out
 
 
@@ -141,16 +142,6 @@ def _sym_k(ctx: LegContext, i: int, sym, inv: bool = False) -> VScalar:
     return c.inverse() if inv else c
 
 
-def _merge(acc: dict, terms: dict, scale: VScalar = ONE) -> dict:
-    for k, c in terms.items():
-        s = acc.get(k, ZERO) + c * scale
-        if s.is_zero():
-            acc.pop(k, None)
-        else:
-            acc[k] = s
-    return acc
-
-
 def act_leg(ctx: LegContext, g: UqGen, a: int, b: int, word: tuple) -> dict:
     """E_i or F_i on the leg element t^a t*^b word, via the Leibniz rule
     over the symbol sequence (right to left).  Returns {(a', b', w'): coeff}.
@@ -170,12 +161,13 @@ def act_leg(ctx: LegContext, g: UqGen, a: int, b: int, word: tuple) -> dict:
         head_act = _sym_act(ctx, g, head)
         new: dict = {}
         if head_act:
-            first = _leg_mul(ctx, head_act, suffix_elem)
-            _merge(new, first, suffix_kinv if g.kind == "F" else ONE)
+            scale = suffix_kinv if g.kind == "F" else ONE
+            add_terms(new, ((k, c * scale) for k, c
+                            in _leg_mul(ctx, head_act, suffix_elem).items()))
         if res:
-            tail = _leg_mul(ctx, head_unit, res)
-            _merge(new, tail,
-                   _sym_k(ctx, g.i, head) if g.kind == "E" else ONE)
+            scale = _sym_k(ctx, g.i, head) if g.kind == "E" else ONE
+            add_terms(new, ((k, c * scale) for k, c
+                            in _leg_mul(ctx, head_unit, res).items()))
         res = new
         suffix_elem = _leg_mul(ctx, head_unit, suffix_elem)
         suffix_kinv = suffix_kinv * _sym_k(ctx, g.i, head, inv=True)
@@ -207,6 +199,16 @@ class KernelSpace:
             for w2, c2 in p2.terms.items():
                 terms[key + (w1, w2)] = coeff * c1 * c2
         return Kernel(self, terms, False)
+
+    def sum(self, kernels: Iterable["Kernel"], truncated: bool = False) -> "Kernel":
+        """Sum of kernels of this space, built once; the flag is sticky."""
+        acc: dict = {}
+        for k in kernels:
+            if k.space is not self:
+                raise CutoffMismatchError("kernels from different spaces")
+            add_terms(acc, k.terms.items())
+            truncated = truncated or k.truncated
+        return Kernel(self, acc, truncated)
 
 
 def poisson_space(n: int, cutoff: int) -> KernelSpace:
@@ -251,14 +253,8 @@ class Kernel:
 
     def __add__(self, other: "Kernel") -> "Kernel":
         self._check(other)
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            s = t.get(k, ZERO) + c
-            if s.is_zero():
-                t.pop(k, None)
-            else:
-                t[k] = s
-        return Kernel(self.space, t, self.truncated or other.truncated)
+        return Kernel(self.space, add_terms(dict(self.terms), other.terms.items()),
+                      self.truncated or other.truncated)
 
     def __sub__(self, other: "Kernel") -> "Kernel":
         return self + other.scale(-ONE)
@@ -304,14 +300,9 @@ class Kernel:
                 first = sp.leg1.alg.monomial(w2 + w1, ONE)
                 second = sp.leg2.alg.monomial(u1 + u2, ONE)
                 key_p = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
-                for wf, cf in first.terms.items():
-                    for ws, cs in second.terms.items():
-                        key = key_p + (wf, ws)
-                        s = acc.get(key, ZERO) + coeff * cf * cs
-                        if s.is_zero():
-                            acc.pop(key, None)
-                        else:
-                            acc[key] = s
+                add_terms(acc, ((key_p + (wf, ws), coeff * cf * cs)
+                                for wf, cf in first.terms.items()
+                                for ws, cs in second.terms.items()))
         return Kernel(sp, acc, truncated)
 
     # -- the U_q action across the two legs -----------------------------------
@@ -328,31 +319,16 @@ class Kernel:
                 out[key] = c * (s.inverse() if inv else s)
             return Kernel(sp, out, self.truncated)
         acc: dict = {}
-
-        def put(key, c):
-            s = acc.get(key, ZERO) + c
-            if s.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = s
-
         for (a, b, cc, d, w1, w2), c in self.terms.items():
-            leg1 = act_leg(sp.leg1, g, a, b, w1)
-            leg2 = act_leg(sp.leg2, g, cc, d, w2)
+            # E x 1 + K x E, or F x K^-1 + 1 x F
             if g.kind == "E":
-                # E x 1 + K x E
-                for (a2, b2, wn), cv in leg1.items():
-                    put((a2, b2, cc, d, wn, w2), c * cv)
-                k1 = _leg_k_eig(sp.leg1, g.i, a, b, w1)
-                for (c2, d2, un), cv in leg2.items():
-                    put((a, b, c2, d2, w1, un), c * k1 * cv)
+                s1, s2 = c, c * _leg_k_eig(sp.leg1, g.i, a, b, w1)
             else:
-                # F x K^-1 + 1 x F
-                k2 = _leg_k_eig(sp.leg2, g.i, cc, d, w2).inverse()
-                for (a2, b2, wn), cv in leg1.items():
-                    put((a2, b2, cc, d, wn, w2), c * k2 * cv)
-                for (c2, d2, un), cv in leg2.items():
-                    put((a, b, c2, d2, w1, un), c * cv)
+                s1, s2 = c * _leg_k_eig(sp.leg2, g.i, cc, d, w2).inverse(), c
+            add_terms(acc, (((a2, b2, cc, d, wn, w2), s1 * cv) for (a2, b2, wn), cv
+                            in act_leg(sp.leg1, g, a, b, w1).items()))
+            add_terms(acc, (((a, b, c2, d2, w1, un), s2 * cv) for (c2, d2, un), cv
+                            in act_leg(sp.leg2, g, cc, d, w2).items()))
         return Kernel(sp, acc, self.truncated)
 
     # -- inspection -------------------------------------------------------------
@@ -407,27 +383,27 @@ def build_L(n: int, cutoff: int) -> Kernel:
     """The invariant kernel with first-leg z-minors and second-leg starred
     zeta-minors; the J = {n+1..2n} term is the monomial prefactor t x tau*."""
     sp = poisson_space(n, cutoff)
-    acc = sp.kernel({})
-    for J in subsets_k(range(1, 2 * n + 1), n):
+
+    def term(J):
         A, U, _, k = _minor_data(n, J)
         m1 = qminor(sp.leg1.alg, A, U, cls="z")
         m2 = star_poly(qminor(sp.leg2.alg, A, U, cls="zeta"))
         scale = qpow(-k) * VScalar.from_int((-1) ** k)
-        acc = acc + sp.from_pair(m1, m2, key=(1, 0, 0, 1), coeff=scale)
-    return acc
+        return sp.from_pair(m1, m2, key=(1, 0, 0, 1), coeff=scale)
+    return sp.sum(map(term, subsets_k(range(1, 2 * n + 1), n)))
 
 
 def build_Lbar(n: int, cutoff: int) -> Kernel:
     sp = poisson_space(n, cutoff)
-    acc = sp.kernel({})
-    for J in subsets_k(range(1, 2 * n + 1), n):
+
+    def term(J):
         A, U, Jc, k = _minor_data(n, J)
         ell = l_pairs(J, Jc)
         m1 = star_poly(qminor(sp.leg1.alg, A, U, cls="z"))
         m2 = qminor(sp.leg2.alg, A, U, cls="zeta")
         scale = (qpow(-k) * neg_qpow(-2 * ell)) * VScalar.from_int((-1) ** k)
-        acc = acc + sp.from_pair(m1, m2, key=(0, 1, 1, 0), coeff=scale)
-    return acc
+        return sp.from_pair(m1, m2, key=(0, 1, 1, 0), coeff=scale)
+    return sp.sum(map(term, subsets_k(range(1, 2 * n + 1), n)))
 
 
 # ---------------------------------------------------------------------------
@@ -449,18 +425,16 @@ def kinverse(k: Kernel, power: int = 1) -> Kernel:
     m = (k * u_inv) - sp.unit()
     if any(key[4] == () == key[5] for key in m.terms):
         raise ValueError("leading term is not unit-normalised")
-    inv = sp.unit()
-    powm = sp.unit()
-    guard = 0
-    while True:
-        powm = powm * m
-        if powm.is_zero():
-            break
-        inv = inv + powm.scale(VScalar.from_int((-1) ** (guard + 1)))
-        guard += 1
-        if guard > 4 * (sp.cutoff + 1):
-            raise RuntimeError("Neumann series failed to terminate at cutoff")
-    inv = u_inv * inv
+
+    def neumann():
+        powm = sp.unit()
+        for j in range(4 * (sp.cutoff + 1) + 1):
+            yield powm.scale(VScalar.from_int((-1) ** j))
+            powm = powm * m
+            if powm.is_zero():
+                return
+        raise RuntimeError("Neumann series failed to terminate at cutoff")
+    inv = u_inv * sp.sum(neumann())
     out = inv
     for _ in range(power - 1):
         out = out * inv
@@ -476,22 +450,21 @@ def substitute_x_inverse(k: Kernel) -> Kernel:
     """Replace each first-leg (t t*)^-m prefactor by y^m.
 
     Sound because t^-1 t*^-1 is the image of y inside the localized algebra;
-    afterwards every term has zero first-leg powers.
+    afterwards every term has zero first-leg powers.  Each summand is
+    box-truncated as it is built, so only in-box terms are accumulated.
     """
     sp = k.space
-    acc = sp.kernel({})
-    acc.truncated = k.truncated
-    for (a, b, c, d, w1, w2), coeff in k.terms.items():
+
+    def term(key, coeff):
+        a, b, c, d, w1, w2 = key
         if a != b or a > 0:
             raise PowerSignatureError(
                 f"first-leg powers ({a},{b}) are not a balanced inverse pair")
         if a == 0:
-            acc = acc + Kernel(sp, {(0, 0, c, d, w1, w2): coeff})
-            continue
+            return Kernel(sp, {(0, 0, c, d, w1, w2): coeff})
         prod = _y_power(sp.n, -a) * NCPoly(sp.leg1.alg, {w1: coeff})
-        acc = acc + sp.from_pair(prod, NCPoly(sp.leg2.alg, {w2: ONE}),
-                                 key=(0, 0, c, d))
-    return acc
+        return sp.from_pair(prod, NCPoly(sp.leg2.alg, {w2: ONE}), key=(0, 0, c, d))
+    return sp.sum((term(key, coeff) for key, coeff in k.terms.items()), k.truncated)
 
 
 def eta_shift(k: Kernel) -> Kernel:
@@ -557,14 +530,7 @@ def poisson_integral_n1(P: Kernel, f: N1Boundary, cutoff: int) -> TruncatedSerie
     acc: dict = {}
     for (_, _, _, _, w1, w2), c in P.terms.items():
         second = N1Boundary.from_boundary(NCPoly(sp.leg2.alg, {w2: c}))
-        val = nu_n1(second * f)
-        if val.is_zero():
-            continue
-        s = acc.get(w1, ZERO) + val
-        if s.is_zero():
-            acc.pop(w1, None)
-        else:
-            acc[w1] = s
+        add_terms(acc, ((w1, nu_n1(second * f)),))
     series = TruncatedSeries.from_poly(NCPoly(sp.leg1.alg, acc), cutoff)
     series.truncated = series.truncated or P.truncated
     return series

@@ -14,6 +14,10 @@ and right-most strategies must agree on random words).
 
 :class:`NCPoly` is a finite map from canonical words to ``VScalar``
 coefficients with zero values pruned eagerly, so equality is map equality.
+Every sum in the package, of polynomials, kernels or classical images, is
+accumulated into one dict by :func:`add_terms`, which adds ``(key, coeff)``
+pairs and drops a key as soon as its coefficient sums to zero;
+:meth:`Algebra.sum` builds a polynomial from many summands that way.
 Algebras and polynomials are immutable after construction; the pair-rule
 cache only sees idempotent inserts.
 """
@@ -101,20 +105,34 @@ class Algebra:
 
     def poly(self, terms: dict) -> "NCPoly":
         """Polynomial from possibly non-normal words."""
+        return self.sum(normalize(self, tuple(word), VScalar.coerce(coeff))
+                        for word, coeff in terms.items())
+
+    def sum(self, polys: Iterable["NCPoly"]) -> "NCPoly":
+        """Sum of polynomials over this algebra, built as one dict."""
         acc: dict = {}
-        for word, coeff in terms.items():
-            _acc_terms(acc, normalize(self, tuple(word), VScalar.coerce(coeff)).terms)
+        for p in polys:
+            if p.alg is not self:
+                raise ValueError(f"mixed algebras: {self.name} vs {p.alg.name}")
+            add_terms(acc, p.terms.items())
         return NCPoly(self, acc)
 
 
-def _acc_terms(acc: dict, terms: dict) -> None:
-    for w, c in terms.items():
-        s = acc.get(w)
+def add_terms(acc: dict, items: Iterable) -> dict:
+    """Add ``(key, coeff)`` pairs into ``acc`` in place and return it.
+
+    A key whose coefficient sums to zero is removed, so ``acc`` never holds
+    a zero.  Coefficients need ``+`` and truthiness (``VScalar`` and
+    ``Fraction`` both qualify).
+    """
+    for k, c in items:
+        s = acc.get(k)
         s = c if s is None else s + c
-        if s.is_zero():
-            acc.pop(w, None)
+        if s:
+            acc[k] = s
         else:
-            acc[w] = s
+            acc.pop(k, None)
+    return acc
 
 
 def normalize(alg: Algebra, word: tuple, coeff: VScalar,
@@ -138,7 +156,7 @@ def normalize(alg: Algebra, word: tuple, coeff: VScalar,
         c, w = pending.pop()
         pos = _find_descent(w, from_right)
         if pos < 0:
-            _acc_terms(acc, {w: c})
+            add_terms(acc, ((w, c),))
             continue
         steps += 1
         if steps > MAX_REWRITE_STEPS:
@@ -175,9 +193,7 @@ class NCPoly:
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         self._check(other)
-        acc = dict(self.terms)
-        _acc_terms(acc, other.terms)
-        return NCPoly(self.alg, acc)
+        return NCPoly(self.alg, add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
@@ -192,7 +208,7 @@ class NCPoly:
         acc: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                _acc_terms(acc, normalize(self.alg, w1 + w2, c1 * c2).terms)
+                add_terms(acc, normalize(self.alg, w1 + w2, c1 * c2).terms.items())
         return NCPoly(self.alg, acc)
 
     def __rmul__(self, other) -> "NCPoly":
@@ -240,27 +256,3 @@ class NCPoly:
     def __repr__(self):
         from .render import poly_text
         return f"NCPoly<{self.alg.name}>({poly_text(self)})"
-
-    # -- grading -----------------------------------------------------------------
-
-    def word_degree(self, word: tuple, grading: dict) -> tuple:
-        vec = None
-        for g in word:
-            d = grading[self.alg.gens[g].cls]
-            vec = d if vec is None else tuple(x + y for x, y in zip(vec, d))
-        if vec is None:
-            d0 = next(iter(grading.values()))
-            vec = (0,) * len(d0)
-        return vec
-
-    def grade(self, grading: dict) -> dict:
-        """Split into homogeneous parts under a per-class integer grading.
-
-        ``grading`` maps each symbol class to an integer vector; the parts
-        sum back to the polynomial exactly.
-        """
-        out: dict = {}
-        for w, c in self.terms.items():
-            d = self.word_degree(w, grading)
-            out.setdefault(d, {})[w] = c
-        return {d: NCPoly(self.alg, t) for d, t in out.items()}

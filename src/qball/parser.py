@@ -129,10 +129,7 @@ class _Parser:
             op = self.take()[1]
             rhs = self.term()
             acc, rhs = self._align(acc, rhs)
-            if isinstance(acc, VScalar):
-                acc = acc + rhs if op == "+" else acc - rhs
-            else:
-                acc = acc + rhs if op == "+" else acc - rhs
+            acc = acc + rhs if op == "+" else acc - rhs
         return acc
 
     def term(self):

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .algebras import bidegree, matrix_algebra, pol_algebra, star_poly
 from .linalg import solve
-from .ncpoly import Algebra, NCPoly
+from .ncpoly import Algebra, NCPoly, add_terms
 from .qmatrix import qdet, qminor, subsets_k
 from .scalars import ONE, VScalar, ZERO, neg_qpow, qpow
 
@@ -57,10 +57,7 @@ class TruncatedSeries:
         return self.components.get((j, k), self.alg.zero())
 
     def as_poly(self) -> NCPoly:
-        acc = self.alg.zero()
-        for p in self.components.values():
-            acc = acc + p
-        return acc
+        return self.alg.sum(self.components.values())
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.cutoff != other.cutoff:
@@ -105,15 +102,15 @@ def y_element(n: int) -> NCPoly:
     """1 + sum over k of (-1)^k sums of z-minors times their stars; the
     classical limit is det(1 - z z*)."""
     alg = pol_algebra(n)
-    acc = alg.one()
+    acc = {(): ONE}
     rng = range(1, n + 1)
     for k in range(1, n + 1):
         sign = VScalar.from_int((-1) ** k)
         for rows in subsets_k(rng, k):
             for cols in subsets_k(rng, k):
                 m = qminor(alg, rows, cols, cls="z")
-                acc = acc + (m * star_poly(m)).scale(sign)
-    return acc
+                add_terms(acc, (m * star_poly(m)).scale(sign).terms.items())
+    return NCPoly(alg, acc)
 
 
 # ---------------------------------------------------------------------------

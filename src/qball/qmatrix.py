@@ -34,17 +34,15 @@ def qminor(alg: Algebra, rows, cols, cls: str = "t", form: str = "row") -> NCPol
     k = len(rows)
     if k == 0:
         return alg.one()
-    acc = alg.zero()
-    for perm in permutations(range(k)):
-        sign = neg_qpow(_inversions(perm))
+    if form not in ("row", "col"):
+        raise ValueError(f"unknown minor form {form!r}")
+
+    def word(perm):
         if form == "row":
-            word = [alg.gen_code(cls, rows[perm[t]], cols[t]) for t in range(k)]
-        elif form == "col":
-            word = [alg.gen_code(cls, rows[t], cols[perm[t]]) for t in range(k)]
-        else:
-            raise ValueError(f"unknown minor form {form!r}")
-        acc = acc + alg.monomial(tuple(word), sign)
-    return acc
+            return tuple(alg.gen_code(cls, rows[perm[t]], cols[t]) for t in range(k))
+        return tuple(alg.gen_code(cls, rows[t], cols[perm[t]]) for t in range(k))
+    return alg.poly({word(perm): neg_qpow(_inversions(perm))
+                     for perm in permutations(range(k))})
 
 
 def qdet(alg: Algebra, n: int, cls: str = "t") -> NCPoly:
@@ -102,12 +100,8 @@ def m_map(n: int, p_top: NCPoly, p_bot: NCPoly) -> NCPoly:
     big = matrix_algebra(2 * n, 2 * n)
 
     def relabel(p: NCPoly, shift: int) -> NCPoly:
-        acc = big.zero()
-        for w, c in p.terms.items():
-            word = tuple(big.gen_code("t", rect.gens[g].i + shift, rect.gens[g].j)
-                         for g in w)
-            acc = acc + big.monomial(word, c)
-        return acc
+        return big.poly({tuple(big.gen_code("t", rect.gens[g].i + shift, rect.gens[g].j)
+                               for g in w): c for w, c in p.terms.items()})
 
     return relabel(p_top, 0) * relabel(p_bot, n)
 

@@ -189,6 +189,9 @@ class VScalar:
     def is_zero(self) -> bool:
         return not self.num
 
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
     def is_one(self) -> bool:
         return self.shift == 0 and self.num == (1,) and self.den == (1,)
 

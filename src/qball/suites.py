@@ -1,9 +1,7 @@
 """Named verification suites behind the CLI.
 
 Each suite runs one family of exact identity checks at the requested (n,
-cutoff) and fills a Report.  The optional v0 pass re-evaluates every
-residual at a rational point as a fast numeric cross-check; it can only
-add failures, never mask the symbolic verdict.
+cutoff) and fills a Report.
 """
 
 from __future__ import annotations
@@ -23,11 +21,11 @@ from .hua import (generator_words, match_up_to_scalar,
 from .kernels import (Kernel, build_L, build_Lbar, check_invariant, kinverse,
                       p_component, poisson_integral_n1, poisson_kernel,
                       poisson_space)
-from .ncpoly import NCPoly, normalize
+from .ncpoly import normalize
 from .polmat import GLnElement, shilov_residuals_gl, y_element
 from .qmatrix import centrality_residuals, laplace_residuals
 from .reports import Report
-from .scalars import ONE, PoleError, VScalar, qpow
+from .scalars import ONE, VScalar, qpow
 from .uqact import (boundary_tables, module_algebra_residuals,
                     operator_relation_residuals, pol_tables, rect_tables,
                     star_compat_residuals)
@@ -40,47 +38,24 @@ FUZZ_WORDS = 1000
 STAR_PAIRS = 200
 
 
-def _residual_zero(r, v0) -> bool:
-    sym = r.is_zero()
-    if sym and v0 is not None:
-        sym = _numeric_zero(r, v0)
-    return sym
+def _collect(report: Report, labelled):
+    report.fail([label for label, r in labelled if not r.is_zero()])
 
 
-def _numeric_zero(r, v0) -> bool:
-    try:
-        if isinstance(r, VScalar):
-            return r.eval_at(v0) == 0
-        if isinstance(r, NCPoly):
-            return all(c.eval_at(v0) == 0 for c in r.terms.values())
-        if isinstance(r, Kernel):
-            return all(c.eval_at(v0) == 0 for c in r.terms.values())
-        if isinstance(r, GLnElement):
-            return all(c.eval_at(v0) == 0 for c in r.poly.terms.values())
-    except PoleError:
-        return True  # pole: the numeric pass is skipped for this residual
-    return True
-
-
-def _collect(report: Report, labelled, v0):
-    bad = [label for label, r in labelled if not _residual_zero(r, v0)]
-    report.fail(bad)
-
-
-def suite_laplace(n: int, cutoff: int, v0=None) -> Report:
+def suite_laplace(n: int, cutoff: int) -> Report:
     rep = Report("laplace", n, cutoff)
     r1, r2 = laplace_residuals(n)
-    _collect(rep, [("direct-order", r1), ("reversed-order", r2)], v0)
+    _collect(rep, [("direct-order", r1), ("reversed-order", r2)])
     return rep
 
 
-def suite_central(n: int, cutoff: int, v0=None) -> Report:
+def suite_central(n: int, cutoff: int) -> Report:
     rep = Report("central", n, cutoff)
-    _collect(rep, [(f"[det_q, t{k}]", r) for k, r in centrality_residuals(n)], v0)
+    _collect(rep, [(f"[det_q, t{k}]", r) for k, r in centrality_residuals(n)])
     return rep
 
 
-def suite_confluence(n: int, cutoff: int, v0=None, words: int = FUZZ_WORDS,
+def suite_confluence(n: int, cutoff: int, words: int = FUZZ_WORDS,
                      max_len: int = 8, seed: int = 20240601) -> Report:
     """Left-most vs right-most reduction on random words, per algebra."""
     rep = Report("confluence", n, cutoff)
@@ -95,22 +70,20 @@ def suite_confluence(n: int, cutoff: int, v0=None, words: int = FUZZ_WORDS,
             right = normalize(alg, word, ONE, strategy="right")
             if left != right:
                 bad.append((f"{alg.name}:{word}", left - right))
-            elif v0 is not None and not _numeric_zero(left - right, v0):
-                bad.append((f"{alg.name}:{word}", left - right))
-    _collect(rep, bad, None)
+    _collect(rep, bad)
     return rep
 
 
-def suite_invariance(n: int, cutoff: int, v0=None) -> Report:
+def suite_invariance(n: int, cutoff: int) -> Report:
     rep = Report("invariance", n, cutoff)
     D = max(cutoff, n)
     for name, k in (("L", build_L(n, D)), ("Lbar", build_Lbar(n, D))):
         rep.truncated = rep.truncated or k.truncated
-        _collect(rep, [(f"{name}:{g}", r) for g, r in check_invariant(k)], v0)
+        _collect(rep, [(f"{name}:{g}", r) for g, r in check_invariant(k)])
     return rep
 
 
-def suite_star(n: int, cutoff: int, v0=None, pairs: int = STAR_PAIRS,
+def suite_star(n: int, cutoff: int, pairs: int = STAR_PAIRS,
                seed: int = 911) -> Report:
     """Involutivity and antimultiplicativity of the Pol involution on random
     pairs, plus involutivity of the GL_n star on the generator span."""
@@ -132,28 +105,28 @@ def suite_star(n: int, cutoff: int, v0=None, pairs: int = STAR_PAIRS,
         p, r = rand_poly(), rand_poly()
         d1 = star_poly(star_poly(p)) - p
         d2 = star_poly(p * r) - star_poly(r) * star_poly(p)
-        if not _residual_zero(d1, v0):
+        if not d1.is_zero():
             bad.append((f"star-involutive#{t}", d1))
-        if not _residual_zero(d2, v0):
+        if not d2.is_zero():
             bad.append((f"star-antimult#{t}", d2))
     for a in range(1, n + 1):
         for al in range(1, n + 1):
             e = GLnElement.of_gen(n, a, al)
             d = e.star().star() - e
-            if not _residual_zero(d, v0):
+            if not d.is_zero():
                 bad.append((f"gl-star^2 z[{a},{al}]", d))
-    _collect(rep, bad, None)
+    _collect(rep, bad)
     return rep
 
 
-def suite_action(n: int, cutoff: int, v0=None) -> Report:
+def suite_action(n: int, cutoff: int) -> Report:
     """Module-algebra soundness plus the operator relations on bidegree
     <= (2,2) components."""
     rep = Report("action", n, cutoff)
     for tables, tag in ((pol_tables(n), "pol"), (rect_tables(n), "rect"),
                         (boundary_tables(n), "boundary")):
         _collect(rep, [(f"{tag}:{k}", r)
-                       for k, r in module_algebra_residuals(tables)], v0)
+                       for k, r in module_algebra_residuals(tables)])
     t = pol_tables(n)
     zc = [t.alg.gen_code("z", a, b)
           for a in range(1, n + 1) for b in range(1, n + 1)]
@@ -166,13 +139,13 @@ def suite_action(n: int, cutoff: int, v0=None) -> Report:
                 for ws in combinations_with_replacement(sc, k):
                     words.append(tuple(wz) + tuple(ws))
     _collect(rep, [(f"op:{k}", r)
-                   for k, r in operator_relation_residuals(t, words)], v0)
+                   for k, r in operator_relation_residuals(t, words)])
     _collect(rep, [(f"starcompat:{g}:{w}", r)
-                   for g, w, r in star_compat_residuals(t, words[:60])], v0)
+                   for g, w, r in star_compat_residuals(t, words[:60])])
     return rep
 
 
-def suite_poisson(n: int, cutoff: int, v0=None) -> Report:
+def suite_poisson(n: int, cutoff: int) -> Report:
     """Inverse identities for the kernels; for n = 1 additionally the
     explicit kernel expansion, unitality, and the telescoping identity."""
     rep = Report("poisson", n, cutoff)
@@ -211,11 +184,11 @@ def suite_poisson(n: int, cutoff: int, v0=None) -> Report:
     for label, r in checks:
         if isinstance(r, Kernel):
             rep.truncated = rep.truncated or r.truncated
-    _collect(rep, checks, v0)
+    _collect(rep, checks)
     return rep
 
 
-def suite_p11(n: int, cutoff: int, v0=None) -> Report:
+def suite_p11(n: int, cutoff: int) -> Report:
     """The (1,1) component against its displayed form, up to one scalar,
     plus the classical limit pattern."""
     rep = Report("p11", n, cutoff)
@@ -233,14 +206,14 @@ def suite_p11(n: int, cutoff: int, v0=None) -> Report:
     return rep
 
 
-def suite_hua_kernel(n: int, cutoff: int, v0=None) -> Report:
+def suite_hua_kernel(n: int, cutoff: int) -> Report:
     rep = Report("hua-kernel", n, cutoff)
     D = max(cutoff, 2)
     P = poisson_kernel(n, D)
     rep.truncated = P.truncated
     for r in verify_hua_kernel(n, D, P=P):
         _collect(rep, [(f"{r.system}:{k}", _AsResidual(v))
-                       for k, v in r.failures().items()], None)
+                       for k, v in r.failures().items()])
     # negative control: dropping the q^{2c} weights must break n >= 2
     if n >= 2:
         controls = verify_hua_kernel(n, D, weighted=False, P=P)
@@ -262,7 +235,7 @@ class _AsResidual:
         return str(self.text)
 
 
-def suite_hua_theorem_n1(n: int, cutoff: int, v0=None) -> Report:
+def suite_hua_theorem_n1(n: int, cutoff: int) -> Report:
     rep = Report("hua-theorem-n1", n, cutoff)
     if n != 1:
         rep.status = "SKIPPED"
@@ -276,15 +249,15 @@ def suite_hua_theorem_n1(n: int, cutoff: int, v0=None) -> Report:
           N1Boundary.zeta(-1)]
     r = verify_hua_theorem_n1(fs, generator_words(1, 2), cutoff)
     rep.truncated = r.truncated
-    _collect(rep, [(k, _AsResidual(s)) for k, s in r.failures().items()], None)
+    _collect(rep, [(k, _AsResidual(s)) for k, s in r.failures().items()])
     return rep
 
 
-def suite_shilov_consistency(n: int, cutoff: int, v0=None) -> Report:
+def suite_shilov_consistency(n: int, cutoff: int) -> Report:
     """The Shilov relations hold identically after the GL_n star
     substitution, and the two n = 1 models agree on the reduction span."""
     rep = Report("shilov-consistency", n, cutoff)
-    _collect(rep, shilov_residuals_gl(n), v0)
+    _collect(rep, shilov_residuals_gl(n))
     alg = boundary_algebra(1)
     pairs = [alg.one(), alg.gen("zeta", 1, 1) * alg.gen("zetas", 1, 1),
              alg.gen("zetas", 1, 1) * alg.gen("zeta", 1, 1)]
@@ -294,7 +267,7 @@ def suite_shilov_consistency(n: int, cutoff: int, v0=None) -> Report:
         laurent = N1Boundary.from_boundary(p)
         if N1Boundary.from_boundary(quotient) != laurent:
             bad.append((f"model-mismatch:{p}", _AsResidual(p)))
-    _collect(rep, bad, None)
+    _collect(rep, bad)
     return rep
 
 
@@ -313,11 +286,11 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, n: int, cutoff: int, v0: Fraction | None = None) -> Report:
+def run_suite(name: str, n: int, cutoff: int) -> Report:
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}")
     start = time.monotonic()
-    rep = _SUITES[name](n, cutoff, v0)
+    rep = _SUITES[name](n, cutoff)
     rep.wall_ms = int((time.monotonic() - start) * 1000)
     return rep
 
@@ -342,6 +315,6 @@ def suite_limits(n: int, cutoff: int) -> Report:
         expect = {(("z", 1, 1),): Fraction(1)}
         if classical_series(u) != expect:
             bad.append(("classical Poisson of zeta", _AsResidual("mismatch")))
-    _collect(rep, bad, None)
+    _collect(rep, bad)
     rep.wall_ms = int((time.monotonic() - start) * 1000)
     return rep

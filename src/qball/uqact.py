@@ -205,21 +205,17 @@ def act_word(t: ActionTables, g: UqGen, word: tuple) -> NCPoly:
 
 
 def act(t: ActionTables, g: UqGen, p: NCPoly) -> NCPoly:
-    acc = t.alg.zero()
-    for w, c in p.terms.items():
-        acc = acc + act_word(t, g, w).scale(c)
-    return acc
+    return t.alg.sum(act_word(t, g, w).scale(c) for w, c in p.terms.items())
 
 
 def act_expr(t: ActionTables, expr: list, p: NCPoly) -> NCPoly:
     """Apply a formal combination sum c * (g_1 g_2 ... g_k) of U_q words."""
-    acc = t.alg.zero()
-    for c, gens in expr:
+    def apply(gens):
         cur = p
         for g in reversed(gens):
             cur = act(t, g, cur)
-        acc = acc + cur.scale(c)
-    return acc
+        return cur
+    return t.alg.sum(apply(gens).scale(c) for c, gens in expr)
 
 
 # ---------------------------------------------------------------------------

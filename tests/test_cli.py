@@ -109,11 +109,6 @@ def test_cli_normalize_and_exit_codes(capsys, tmp_path):
     assert main(["verify", "--suite", "hua-theorem-n1", "--n", "2"]) == 3
 
 
-def test_cli_eval_v_cross_check():
-    assert main(["verify", "--suite", "central", "--n", "2",
-                 "--eval-v", "1/2"]) == 0
-
-
 def test_cli_limits(capsys):
     assert main(["limits", "--n", "1"]) == 0
     assert "limits" in capsys.readouterr().out

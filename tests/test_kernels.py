@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from qball import kernels
 from qball.algebras import bidegree
 from qball.boundary import N1Boundary
-from qball.kernels import (Kernel, PowerSignatureError, build_L, build_Lbar,
+from qball.kernels import (CutoffMismatchError, Kernel, PowerSignatureError,
+                           build_L, build_Lbar,
                            check_invariant, eta_shift, kinverse, p_component,
                            poisson_integral_n1, poisson_kernel, poisson_space,
                            substitute_x_inverse)
@@ -241,6 +243,7 @@ def _kernel_hash(P) -> str:
 
 @pytest.mark.parametrize("n, D, digest, terms", [
     (1, 4, "e4aaa58b112c", 41),
+    (1, 24, "040e335e25dc", 1201),
     (2, 2, "ffcc205a112a", 411),
 ])
 def test_poisson_kernel_golden_hash(n, D, digest, terms):
@@ -255,3 +258,45 @@ def test_poisson_cache_ignores_argument_spelling():
     raw = poisson_kernel(1, 4, normalized=False)
     assert poisson_kernel(n=1, cutoff=4, normalized=False) is raw
     assert poisson_space(n=1, cutoff=4) is poisson_space(1, 4) is P.space
+
+
+@pytest.mark.parametrize("n, D, d", [(1, 6, 2), (1, 24, 6), (2, 2, 1)])
+def test_in_box_terms_do_not_depend_on_the_cutoff(n, D, d):
+    big = poisson_kernel(n, D)
+    legs = (big.space.leg1.alg, big.space.leg2.alg)
+
+    def in_box(key):
+        return all(max(bidegree(alg, w)) <= d for alg, w in zip(legs, key[4:]))
+    assert {k: c for k, c in big.terms.items() if in_box(k)} == poisson_kernel(n, d).terms
+
+
+def test_substitute_x_inverse_sums_in_linear_time(monkeypatch):
+    # the running sum is built once: bidegrees are taken per summand term
+    # and once more per result term, not once per term per summand
+    n, D = 1, 12
+    sp = poisson_space(n, D)
+    k = sp.power_term(0, 0, n, n) * (kinverse(build_Lbar(n, D), n)
+                                     * kinverse(build_L(n, D), n))
+    calls = []
+
+    def counted(alg, word):
+        calls.append(word)
+        return bidegree(alg, word)
+    monkeypatch.setattr(kernels, "bidegree", counted)
+    result = substitute_x_inverse(k)
+    ncalls = len(calls)
+    monkeypatch.undo()
+    assert result == poisson_kernel(n, D, normalized=False)
+    assert ncalls <= 10 * len(result.terms)
+
+
+def test_kernel_space_sum():
+    sp = poisson_space(1, 2)
+    z = sp.from_pair(sp.leg1.alg.gen("z", 1, 1), sp.leg2.alg.one())
+    assert sp.sum([sp.unit(), z, z.scale(-ONE)]) == sp.unit()
+    assert sp.sum([]).is_zero()
+    flagged = sp.kernel({}, truncated=True)
+    assert sp.sum([z, flagged]).truncated and not sp.sum([z]).truncated
+    assert sp.sum([z], truncated=True).truncated
+    with pytest.raises(CutoffMismatchError):
+        sp.sum([poisson_space(1, 3).unit()])

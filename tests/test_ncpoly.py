@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from qball.algebras import boundary_algebra, matrix_algebra, pol_algebra
-from qball.ncpoly import NCPoly, UnknownGeneratorError, normalize
+from qball.algebras import bidegree, boundary_algebra, matrix_algebra, pol_algebra
+from qball.ncpoly import NCPoly, UnknownGeneratorError, add_terms, normalize
+from qball.polmat import split_bidegrees
 from qball.scalars import ONE, qpow
 
 ALGEBRAS = lambda: [pol_algebra(1), pol_algebra(2),
@@ -83,14 +85,13 @@ def test_associativity_on_random_triples(alg):
 def test_grading_components_sum_back():
     alg = pol_algebra(2)
     rng = random.Random(31)
-    grading = {"z": (1, 0), "zs": (0, 1)}
     for _ in range(50):
         p = normalize(alg, _random_word(rng, alg, 6), ONE)
-        parts = p.grade(grading)
+        parts = split_bidegrees(p)
         acc = alg.zero()
         for d, comp in parts.items():
             for w in comp.terms:
-                assert p.word_degree(w, grading) == d
+                assert bidegree(alg, w) == d
             acc = acc + comp
         assert acc == p
 
@@ -98,9 +99,30 @@ def test_grading_components_sum_back():
 def test_bidegree_of_mixed_word():
     alg = pol_algebra(2)
     p = alg.gen("z", 1, 1) * alg.gen("zs", 2, 2)
-    (d, comp), = p.grade({"z": (1, 0), "zs": (0, 1)}).items()
+    (d, comp), = split_bidegrees(p).items()
     assert d == (1, 1)
-    assert alg.one().grade({"z": (1, 0), "zs": (0, 1)}) == {(0, 0): alg.one()}
+    assert comp == p
+    assert split_bidegrees(alg.one()) == {(0, 0): alg.one()}
+
+
+@pytest.mark.parametrize("one", [ONE, Fraction(1)], ids=["VScalar", "Fraction"])
+def test_add_terms_drops_keys_that_cancel(one):
+    two = one + one
+    acc = add_terms({}, [("a", one), ("b", two), ("a", -one), ("c", one - one)])
+    assert acc == {"b": two}
+    assert add_terms(acc, [("b", -two)]) is acc
+    assert acc == {}
+    assert add_terms({"a": one}, [("a", one)]) == {"a": two}
+
+
+def test_algebra_sum_builds_one_polynomial():
+    alg = pol_algebra(1)
+    z, zs = alg.gen("z", 1, 1), alg.gen("zs", 1, 1)
+    assert alg.sum([z, zs * z, -z]) == zs * z
+    assert alg.sum([]) == alg.zero()
+    assert alg.sum([z, -z]).terms == {}
+    with pytest.raises(ValueError):
+        alg.sum([pol_algebra(2).one()])
 
 
 def test_coeff_requires_canonical_word():

@@ -156,6 +156,7 @@ def test_field_axioms_on_random_triples():
         a, b, c = (_rand_scalar(rng) for _ in range(3))
         for x in (a, b, c, a + b, a * b, a - b, -a, a * (b + c)):
             assert_canonical(x)
+            assert bool(x) == (not x.is_zero())
         if not b.is_zero():
             assert_canonical(a / b)
         assert (a + b) + c == a + (b + c)
@@ -183,8 +184,10 @@ def test_eval_is_ring_homomorphism():
 @settings(max_examples=120, deadline=None)
 @given(st.integers(-6, 6), st.integers(-6, 6))
 def test_vpow_is_a_group_homomorphism(i, j):
-    for x in (vpow(i), qpow(i), vpow(i) * vpow(j), neg_qpow(j), vpow(i) ** j):
+    for x in (vpow(i), qpow(i), vpow(i) * vpow(j), neg_qpow(j), vpow(i) ** j,
+              vpow(i) - vpow(j)):
         assert_canonical(x)
+        assert bool(x) == (not x.is_zero())
     assert vpow(i) * vpow(j) == vpow(i + j)
     assert qpow(i) == vpow(2 * i)
 
