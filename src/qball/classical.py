@@ -38,25 +38,25 @@ def cpoly_letter(name) -> dict:
     return {(name,): Fraction(1)}
 
 
-def classical_poly(p: NCPoly, v0=1) -> dict:
-    """Commutative image of a normal-form polynomial at v = v0."""
+def classical_poly(p: NCPoly) -> dict:
+    """Commutative image of a normal-form polynomial at v = 1."""
     gens = p.alg.gens
-    return add_terms({}, ((tuple(sorted(tuple(gens[g]) for g in w)), c.eval_at(v0))
+    return add_terms({}, ((tuple(sorted(tuple(gens[g]) for g in w)), c.eval_at(1))
                           for w, c in p.terms.items()))
 
 
-def classical_series(u: TruncatedSeries, v0=1) -> dict:
-    return classical_poly(u.as_poly(), v0)
+def classical_series(u: TruncatedSeries) -> dict:
+    return classical_poly(u.as_poly())
 
 
-def classical_kernel(k: Kernel, v0=1) -> dict:
+def classical_kernel(k: Kernel) -> dict:
     """Commutative image of a power-free kernel; both legs commute."""
     if not k.power_signature() <= {(0, 0, 0, 0)}:
         raise ValueError("classical image of a kernel with powers")
     g1, g2 = k.space.leg1.alg.gens, k.space.leg2.alg.gens
     return add_terms({}, ((tuple(sorted([tuple(g1[g]) for g in w1]
                                         + [tuple(g2[g]) for g in w2])),
-                           coeff.eval_at(v0))
+                           coeff.eval_at(1))
                           for (_, _, _, _, w1, w2), coeff in k.terms.items()))
 
 

@@ -8,9 +8,9 @@ basis).  The rewrite table sends every strictly decreasing adjacent pair
 most two, each strictly smaller than ``g h`` in the degree-lexicographic
 order, which makes reduction terminate.
 
-Confluence of the concrete tables is not proved here; the algebras in this
-package are flat deformations and confluence is property-tested (left-most
-and right-most strategies must agree on random words).
+Confluence is proved by resolving every overlap ambiguity, which suffices
+by the Diamond Lemma (G. Bergman, *The diamond lemma for ring theory*, Adv.
+Math. 29, 1978); see :func:`overlap_residuals`.
 
 :class:`NCPoly` is a finite map from canonical words to ``VScalar``
 coefficients with zero values pruned eagerly, so equality is map equality.
@@ -24,6 +24,7 @@ cache only sees idempotent inserts.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
 from .scalars import VScalar, ZERO, ONE
@@ -135,13 +136,11 @@ def add_terms(acc: dict, items: Iterable) -> dict:
     return acc
 
 
-def normalize(alg: Algebra, word: tuple, coeff: VScalar,
-              strategy: str = "left") -> "NCPoly":
-    """Rewrite ``coeff * word`` to normal form.
+def normalize(alg: Algebra, word: tuple, coeff: VScalar) -> "NCPoly":
+    """Rewrite ``coeff * word`` to normal form, left-most descent first.
 
-    ``strategy`` picks the reducible pair to contract first ("left" or
-    "right"); all strategies must give the same answer and the fuzz tests
-    exercise exactly that.
+    The result does not depend on the order of the rewrites once the table
+    is confluent, which :func:`overlap_residuals` proves.
     """
     for g in word:
         if not 0 <= g < len(alg.gens):
@@ -151,10 +150,9 @@ def normalize(alg: Algebra, word: tuple, coeff: VScalar,
     acc: dict = {}
     pending = [(coeff, word)]
     steps = 0
-    from_right = strategy == "right"
     while pending:
         c, w = pending.pop()
-        pos = _find_descent(w, from_right)
+        pos = _find_descent(w)
         if pos < 0:
             add_terms(acc, ((w, c),))
             continue
@@ -168,12 +166,27 @@ def normalize(alg: Algebra, word: tuple, coeff: VScalar,
     return NCPoly(alg, acc)
 
 
-def _find_descent(w: tuple, from_right: bool) -> int:
-    rng = range(len(w) - 2, -1, -1) if from_right else range(len(w) - 1)
-    for i in rng:
+def _find_descent(w: tuple) -> int:
+    for i in range(len(w) - 1):
         if w[i] > w[i + 1]:
             return i
     return -1
+
+
+def overlap_residuals(alg: Algebra) -> list:
+    """``[((g, h, k), left - right)]`` for each overlap ``g > h > k`` whose
+    two first rewrites, of ``g h`` and of ``h k``, reach different normal
+    forms.  Rule outputs shrink in the degree-lex order and left-hand sides
+    have length two, so by the Diamond Lemma an empty list proves the table
+    confluent; with two generators (n = 1) there are no overlaps at all.
+    """
+    out = []
+    for k, h, g in combinations(range(alg.ngens()), 3):
+        left = alg.sum(normalize(alg, w + (k,), c) for c, w in alg.pair_rule(g, h))
+        right = alg.sum(normalize(alg, (g,) + w, c) for c, w in alg.pair_rule(h, k))
+        if left != right:
+            out.append(((g, h, k), left - right))
+    return out
 
 
 class NCPoly:
@@ -238,7 +251,7 @@ class NCPoly:
     def coeff(self, word) -> VScalar:
         """Coefficient of a canonical word (error on non-canonical input)."""
         word = tuple(word)
-        if _find_descent(word, False) >= 0:
+        if _find_descent(word) >= 0:
             raise ValueError(f"{word} is not a canonical word")
         return self.terms.get(word, ZERO)
 

@@ -237,7 +237,7 @@ def divide_by_central(p: NCPoly, det: NCPoly):
     for w, c in p.terms.items():
         by_deg.setdefault(len(w), {})[w] = c
     ddeg = len(next(iter(det.terms)))
-    out = p.alg.zero()
+    out: dict = {}
     for deg, terms in sorted(by_deg.items()):
         if deg < ddeg:
             return None
@@ -250,8 +250,8 @@ def divide_by_central(p: NCPoly, det: NCPoly):
         x = solve(rows, rhs)
         if x is None:
             return None
-        out = out + NCPoly(p.alg, {w: c for w, c in zip(cand, x) if not c.is_zero()})
-    return out
+        add_terms(out, zip(cand, x))
+    return NCPoly(p.alg, out)
 
 
 def _words_of_degree(alg: Algebra, d: int) -> list:

@@ -79,15 +79,12 @@ def laplace_residuals(n: int):
     det = qdet(alg, 2 * n)
     top = tuple(range(1, n + 1))
     bot = tuple(range(n + 1, 2 * n + 1))
-    s1 = alg.zero()
-    s2 = alg.zero()
+    splits = []
     for J in subsets_k(range(1, 2 * n + 1), n):
         Jc = tuple(j for j in range(1, 2 * n + 1) if j not in J)
-        ell = l_pairs(J, Jc)
-        mt = qminor(alg, top, J)
-        mb = qminor(alg, bot, Jc)
-        s1 = s1 + (mt * mb).scale(neg_qpow(ell))
-        s2 = s2 + (mb * mt).scale(neg_qpow(-ell))
+        splits.append((l_pairs(J, Jc), qminor(alg, top, J), qminor(alg, bot, Jc)))
+    s1 = alg.sum((mt * mb).scale(neg_qpow(ell)) for ell, mt, mb in splits)
+    s2 = alg.sum((mb * mt).scale(neg_qpow(-ell)) for ell, mt, mb in splits)
     return (s1 - det, s2 - det)
 
 

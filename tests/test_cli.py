@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qball import kernels
+from qball import kernels, suites
 from qball.cli import main
 from qball.parser import ExprError, parse_expr
 from qball.render import poly_text
@@ -79,6 +79,13 @@ def test_run_suite_reports():
     assert rep.status == "PASS" and rep.suite == "laplace"
     with pytest.raises(KeyError):
         run_suite("nope", 1, 2)
+
+
+def test_star_suite_negative_control(monkeypatch):
+    # a star scaled by q is neither involutive nor antimultiplicative
+    star = suites.star_poly
+    monkeypatch.setattr(suites, "star_poly", lambda p: star(p).scale(qpow(1)))
+    assert run_suite("star", 1, 2).status == "FAIL"
 
 
 def test_report_json_schema_and_determinism():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from qball.algebras import bidegree, boundary_algebra, matrix_algebra, pol_algebra
-from qball.ncpoly import NCPoly, UnknownGeneratorError, add_terms, normalize
+from qball.ncpoly import (Algebra, Generator, NCPoly, UnknownGeneratorError,
+                          add_terms, normalize, overlap_residuals)
 from qball.polmat import split_bidegrees
 from qball.scalars import ONE, qpow
 
@@ -63,12 +64,24 @@ def _random_word(rng, alg, max_len=8):
     return tuple(rng.randrange(alg.ngens()) for _ in range(rng.randint(0, max_len)))
 
 
-@pytest.mark.parametrize("alg", ALGEBRAS(), ids=lambda a: a.name)
-def test_confluence_left_vs_right_strategies(alg):
-    rng = random.Random(777)
-    for _ in range(1000):
-        w = _random_word(rng, alg)
-        assert normalize(alg, w, ONE, "left") == normalize(alg, w, ONE, "right")
+@pytest.mark.parametrize("alg", ALGEBRAS() + [pol_algebra(3), boundary_algebra(3),
+                                               matrix_algebra(3, 6), matrix_algebra(4, 4)],
+                         ids=lambda a: a.name)
+def test_every_overlap_ambiguity_resolves(alg):
+    assert overlap_residuals(alg) == []
+
+
+def test_overlap_residuals_report_a_broken_table():
+    # x1 x0 -> q x0 x1, x2 x1 -> q x1 x2, x2 x0 -> x0 x2 + x0: the overlap
+    # x2 x1 x0 reduces to q^2 x0 x1 x2 + q^2 x0 x1 from the left but to
+    # q^2 x0 x1 x2 + q x0 x1 from the right
+    q = qpow(1)
+    table = {(1, 0): [(q, (0, 1))], (2, 1): [(q, (1, 2))],
+             (2, 0): [(ONE, (0, 2)), (ONE, (0,))]}
+    alg = Algebra("broken", [Generator("x", i, 0) for i in range(3)],
+                  lambda a, g, h: table[(g, h)])
+    assert [(t, r.terms) for t, r in overlap_residuals(alg)] == [
+        ((2, 1, 0), {(0, 1): qpow(2) - q})]
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS(), ids=lambda a: a.name)
