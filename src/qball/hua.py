@@ -194,6 +194,12 @@ def p11_formula_kernel(n: int, cutoff: int) -> Kernel:
     return Kernel(sp, terms)
 
 
+def p11_scalar(n: int) -> VScalar:
+    """(1 - q^{2n})/(1 - q^2): the (1,1) component of the normalised Poisson
+    kernel is this multiple of :func:`p11_formula_kernel`."""
+    return (ONE - qpow(2 * n)) / (ONE - qpow(2))
+
+
 def match_up_to_scalar(k1: Kernel, k2: Kernel):
     """If k1 == c * k2 for a single nonzero scalar c, return c, else None."""
     if k1.is_zero() or k2.is_zero():

@@ -18,9 +18,12 @@ t z* = q z* t together with their starred versions.
 Truncation drops words whose bidegree exceeds the cutoff box in either
 coordinate on either leg and raises the sticky ``truncated`` flag.  The
 pipeline orders products so that contributions to components inside the box
-never route through dropped terms (z-blocks only ever grow to the left of
-z*-blocks before the final y-substitution), so in-box components of the
-Poisson kernel are exact.
+never route through dropped terms.  Before the y-substitution, z-blocks only
+ever grow to the left of z*-blocks.  The substitution multiplies by y on the
+left one factor at a time and cuts after each, which is exact because left
+multiplication by y never lowers the z-count or the z*-count of a word (see
+:func:`substitute_x_inverse`).  So in-box components of the Poisson kernel
+are exact.
 
 Terms are accumulated with ``ncpoly.add_terms``.  A sum of many kernels
 goes through :meth:`KernelSpace.sum`, which adds every summand into one
@@ -441,30 +444,77 @@ def kinverse(k: Kernel, power: int = 1) -> Kernel:
     return out
 
 
-@lru_cache(maxsize=None)
-def _y_power(n: int, m: int) -> NCPoly:
-    return y_element(n) ** m
-
-
 def substitute_x_inverse(k: Kernel) -> Kernel:
-    """Replace each first-leg (t t*)^-m prefactor by y^m.
+    """Replace each first-leg (t t*)^-m prefactor by y^m, inside the box.
 
     Sound because t^-1 t*^-1 is the image of y inside the localized algebra;
-    afterwards every term has zero first-leg powers.  Each summand is
-    box-truncated as it is built, so only in-box terms are accumulated.
+    afterwards every term has zero first-leg powers.
+
+    y^m is never formed.  Each first-leg word w1 is multiplied on the left
+    by y m times, and after every step the result u is cut to the cutoff
+    box D.  This gives the in-box part of y^m w1 exactly, by a bound:
+
+    * every term of y (``y_element``) has balanced bidegree (j, j);
+    * a Wick word z^a z*^b times z^c z*^d has terms of bidegree
+      (a + c - r, b + d - r) with 0 <= r <= min(b, c), so a balanced left
+      factor (j, j) gives z-count >= max(j, c) and z*-count >= d: left
+      multiplication by y never lowers the z-count or the z*-count of
+      the right factor.
+
+    So a term cut after one step could only feed terms outside the box at
+    later steps, and a term of y with z-count above D sends every word
+    outside the box; such y terms are skipped.  Each step is linear in u,
+    and y w is normalised and cut once per box word w (a dict local to the
+    call, since ``_raw_poisson`` already caches the whole build).
+
+    ``truncated`` is set when a cut drops a nonzero term, counting the
+    terms of a skipped y term.  That happens exactly when y^m w1 itself
+    has a nonzero term outside the box, which is what the flag means
+    elsewhere.  The reason is that y is q-normal (y z = q^2 z y and
+    y z* = q^-2 z* y, checked in the tests): for w1 = z^A z*^B of
+    bidegree (c, d), y w1 = q^{2c} z^A y z*^B, whose terms have bidegree
+    (c + j, d + j) for the (j, j) of y, the top one (c + n, d + n) being
+    +-q^{2c} z^A det_q(z) det_q(z)* z*^B != 0.  Hence y^m w1 leaves the
+    box exactly when max(c, d) + m n > D.  A cut at step i drops terms of
+    y w' for a word w' with max bidegree <= max(c, d) + i n, so then
+    max(c, d) + m n > D.  Conversely, if max(c, d) + m n > D, the first
+    step i with max(c, d) + (i + 1) n > D follows exact steps, so u still
+    holds the top term of y^i w1, and that cut drops a term.
     """
     sp = k.space
+    alg = sp.leg1.alg
+    D = sp.cutoff
+    y_terms = y_element(sp.n).terms
+    y_box = [(w, c) for w, c in y_terms.items() if bidegree(alg, w)[0] <= D]
+    skipped = len(y_box) < len(y_terms)
+    memo: dict = {}
 
-    def term(key, coeff):
-        a, b, c, d, w1, w2 = key
+    def y_times(w):
+        """(in-box part of y w, whether the cut dropped a nonzero term)."""
+        hit = memo.get(w)
+        if hit is None:
+            prod = alg.sum(alg.monomial(wy + w, cy) for wy, cy in y_box)
+            box = {wp: cp for wp, cp in prod.terms.items()
+                   if max(bidegree(alg, wp)) <= D}
+            hit = memo[w] = (box, skipped or len(box) < len(prod.terms))
+        return hit
+
+    acc: dict = {}
+    truncated = k.truncated
+    for (a, b, c, d, w1, w2), coeff in k.terms.items():
         if a != b or a > 0:
             raise PowerSignatureError(
                 f"first-leg powers ({a},{b}) are not a balanced inverse pair")
-        if a == 0:
-            return Kernel(sp, {(0, 0, c, d, w1, w2): coeff})
-        prod = _y_power(sp.n, -a) * NCPoly(sp.leg1.alg, {w1: coeff})
-        return sp.from_pair(prod, NCPoly(sp.leg2.alg, {w2: ONE}), key=(0, 0, c, d))
-    return sp.sum((term(key, coeff) for key, coeff in k.terms.items()), k.truncated)
+        u = {w1: coeff}
+        for _ in range(-a):
+            nxt: dict = {}
+            for w, cw in u.items():
+                box, dropped = y_times(w)
+                truncated = truncated or dropped
+                add_terms(nxt, ((wp, cp * cw) for wp, cp in box.items()))
+            u = nxt
+        add_terms(acc, (((0, 0, c, d, wp, w2), cp) for wp, cp in u.items()))
+    return Kernel(sp, acc, truncated)
 
 
 def eta_shift(k: Kernel) -> Kernel:

@@ -15,8 +15,8 @@ from .algebras import (bidegree, boundary_algebra, matrix_algebra, pol_algebra,
 from .boundary import N1Boundary, shilov_reduce
 from .classical import (classical_det_one_minus_zzstar, classical_kernel,
                         classical_p11, classical_poly, classical_series)
-from .hua import (generator_words, match_up_to_scalar,
-                  p11_formula_kernel, verify_hua_kernel, verify_hua_theorem_n1)
+from .hua import (generator_words, match_up_to_scalar, p11_formula_kernel,
+                  p11_scalar, verify_hua_kernel, verify_hua_theorem_n1)
 from .kernels import (Kernel, build_L, build_Lbar, check_invariant, kinverse,
                       p_component, poisson_integral_n1, poisson_kernel,
                       poisson_space)
@@ -181,6 +181,8 @@ def suite_p11(n: int, cutoff: int) -> Report:
         rep.fail(["p11 does not match the displayed form up to one scalar"])
         return rep
     rep.note = f"scalar={c.to_text()}"
+    if c != p11_scalar(n):
+        rep.fail(["p11 scalar differs from (1 - q^{2n})/(1 - q^2)"])
     if classical_kernel(p11.scale(c.inverse())) != classical_p11(n):
         rep.fail(["classical limit of p11 mismatches the known pattern"])
     return rep

@@ -1,10 +1,11 @@
 import pytest
 
+from qball import suites
 from qball.boundary import N1Boundary, shilov_reduce
 from qball.classical import classical_kernel, classical_p11
 from qball.hua import (d2_at_zero_kernel, d2_at_zero_series, generator_words,
                        hua_sum_A, hua_sum_B, match_up_to_scalar,
-                       p11_formula_kernel, verify_hua_kernel,
+                       p11_formula_kernel, p11_scalar, verify_hua_kernel,
                        verify_hua_theorem_n1)
 from qball.kernels import p_component, poisson_kernel, poisson_space
 from qball.polmat import TruncatedSeries
@@ -100,12 +101,23 @@ def test_hua_theorem_n1_full_family():
 
 
 def test_p11_matches_displayed_form():
-    for n, cutoff in ((1, 4), (2, 2)):
+    # the matched scalar is (1 - q^{2n})/(1 - q^2)
+    expected = {1: ONE, 2: qpow(2) + ONE, 3: qpow(4) + qpow(2) + ONE}
+    for n, cutoff in ((1, 4), (2, 2), (3, 1)):
         P = poisson_kernel(n, cutoff)
         c = match_up_to_scalar(p_component(P, 1, 1), p11_formula_kernel(n, cutoff))
-        assert c is not None and not c.is_zero()
+        assert c == expected[n] == p11_scalar(n)
         scaled = p_component(P, 1, 1).scale(c.inverse())
         assert classical_kernel(scaled) == classical_p11(n)
+
+
+def test_suite_p11_fails_on_a_wrong_scalar(monkeypatch):
+    assert suites.suite_p11(1, 2).status == "PASS"
+    formula = suites.p11_formula_kernel
+    monkeypatch.setattr(suites, "p11_formula_kernel",
+                        lambda n, cutoff: formula(n, cutoff).scale(qpow(1)))
+    rep = suites.suite_p11(1, 2)
+    assert rep.status == "FAIL" and rep.note == "scalar=q^-1"
 
 
 def test_match_up_to_scalar_rejects_mismatch():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -11,7 +12,7 @@ from qball.kernels import (CutoffMismatchError, Kernel, PowerSignatureError,
                            check_invariant, eta_shift, kinverse, p_component,
                            poisson_integral_n1, poisson_kernel, poisson_space,
                            substitute_x_inverse)
-from qball.ncpoly import NCPoly
+from qball.ncpoly import NCPoly, add_terms
 from qball.polmat import y_element
 from qball.scalars import ONE, VScalar, qpow
 from qball.uqact import UqGen
@@ -184,6 +185,85 @@ def test_substitute_x_inverse(n):
         substitute_x_inverse(sp.power_term(-1, 0, 0, 0))
 
 
+def _substitute_by_y_power(k):
+    """Reference: form y^m untruncated, multiply, then cut with Kernel()."""
+    sp = k.space
+    acc, truncated = {}, k.truncated
+    for (a, b, c, d, w1, w2), coeff in k.terms.items():
+        prod = y_element(sp.n) ** -a * NCPoly(sp.leg1.alg, {w1: coeff})
+        summand = Kernel(sp, {(0, 0, c, d, w, w2): cw for w, cw in prod.terms.items()})
+        add_terms(acc, summand.terms.items())
+        truncated = truncated or summand.truncated
+    return Kernel(sp, acc, truncated)
+
+
+def _hand_built(leaves_box: bool):
+    # n = 2, D = 4: y^m w1 leaves the box exactly when max(bidegree) + 2m > 4
+    sp = poisson_space(2, 4)
+    a1, a2 = sp.leg1.alg, sp.leg2.alg
+    z11, zs12 = a1.gen_code("z", 1, 1), a1.gen_code("zs", 1, 2)
+    zeta11 = a2.gen_code("zeta", 1, 1)
+    terms = {(-1, -1, 0, 0, (z11, zs12), (zeta11,)): qpow(3),
+             (-2, -2, 1, 1, (), ()): -ONE,
+             (0, 0, 0, 0, (a1.gen_code("z", 2, 1),), ()): qpow(-1)}
+    if leaves_box:
+        terms[(-2, -2, 0, 0, (z11,), ())] = ONE
+    return sp.kernel(terms)
+
+
+@pytest.mark.parametrize("case", ["pipeline-1-6", "pipeline-2-1",
+                                  "in-box", "leaves-box"])
+def test_substitute_x_inverse_matches_y_power_reference(case):
+    if case.startswith("pipeline"):
+        n, D = map(int, case.split("-")[1:])
+        k = poisson_space(n, D).power_term(0, 0, n, n) * (
+            kinverse(build_Lbar(n, D), n) * kinverse(build_L(n, D), n))
+    else:
+        k = _hand_built(case == "leaves-box")
+        assert not k.truncated
+    got, expect = substitute_x_inverse(k), _substitute_by_y_power(k)
+    assert got.terms == expect.terms
+    assert got.truncated == expect.truncated
+    if not case.startswith("pipeline"):
+        assert got.truncated == (case == "leaves-box")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_y_element_is_balanced_and_q_normal(n):
+    # the premises of the box bound and of the truncated flag in
+    # substitute_x_inverse: every term of y has bidegree (j, j), and
+    # y z = q^2 z y, y z* = q^-2 z* y
+    y = y_element(n)
+    alg = y.alg
+    assert all(j == k for j, k in (bidegree(alg, w) for w in y.terms))
+    for g in alg.gens:
+        x = alg.gen(g.cls, g.i, g.j)
+        assert y * x == (x * y).scale(qpow(2 if g.cls == "z" else -2))
+
+
+def _box_words(alg, D):
+    blocks = []
+    for cls in ("z", "zs"):
+        codes = [c for c, g in enumerate(alg.gens) if g.cls == cls]
+        blocks.append([w for r in range(D + 1)
+                       for w in combinations_with_replacement(codes, r)])
+    return [wz + ws for wz in blocks[0] for ws in blocks[1]]
+
+
+@pytest.mark.parametrize("n, D, nwords", [(2, 2, 225), (3, 1, 100)])
+def test_left_multiplication_by_y_never_lowers_either_count(n, D, nwords):
+    y = y_element(n)
+    alg = y.alg
+    words = _box_words(alg, D)
+    assert len(words) == nwords
+    for w in words:
+        c, d = bidegree(alg, w)
+        for wy, cy in y.terms.items():
+            for wp in alg.monomial(wy + w, cy).terms:
+                j, k = bidegree(alg, wp)
+                assert j >= c and k >= d, (wy, w, wp)
+
+
 def test_eta_shift():
     sp = poisson_space(1, 2)
     a2 = sp.leg2.alg
@@ -245,6 +325,8 @@ def _kernel_hash(P) -> str:
     (1, 4, "e4aaa58b112c", 41),
     (1, 24, "040e335e25dc", 1201),
     (2, 2, "ffcc205a112a", 411),
+    (2, 3, "94f9941a67a5", 3663),
+    (3, 1, "2a66cfc790a3", 109),
 ])
 def test_poisson_kernel_golden_hash(n, D, digest, terms):
     P = poisson_kernel(n, D)
@@ -260,7 +342,7 @@ def test_poisson_cache_ignores_argument_spelling():
     assert poisson_space(n=1, cutoff=4) is poisson_space(1, 4) is P.space
 
 
-@pytest.mark.parametrize("n, D, d", [(1, 6, 2), (1, 24, 6), (2, 2, 1)])
+@pytest.mark.parametrize("n, D, d", [(1, 6, 2), (1, 24, 6), (2, 2, 1), (2, 3, 2)])
 def test_in_box_terms_do_not_depend_on_the_cutoff(n, D, d):
     big = poisson_kernel(n, D)
     legs = (big.space.leg1.alg, big.space.leg2.alg)
