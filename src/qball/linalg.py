@@ -1,13 +1,10 @@
-"""Tiny exact linear algebra over Q(v): RREF and linear solves.
+"""Tiny exact linear algebra over Q(v): reduced row echelon form.
 
-Only used for low-dimensional graded problems (divisibility by the central
-quantum determinant, the Shilov span reduction), so a plain fraction-free
-Gaussian elimination is plenty.
+Only the Shilov span reduction (``qball.boundary``) uses it, on small
+graded problems, so plain Gaussian elimination is plenty.
 """
 
 from __future__ import annotations
-
-from .scalars import ZERO
 
 
 def rref(rows: list) -> tuple:
@@ -37,20 +34,3 @@ def rref(rows: list) -> tuple:
             break
     return [row for row in mat[:r]], pivots
 
-
-def solve(a_rows: list, b: list):
-    """One solution x of A x = b over Q(v), or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not a_rows:
-        return [] if all(x.is_zero() for x in b) else None
-    ncols = len(a_rows[0])
-    aug = [list(row) + [rhs] for row, rhs in zip(a_rows, b)]
-    red, pivots = rref(aug)
-    x = [ZERO] * ncols
-    for row, p in zip(red, pivots):
-        if p == ncols:
-            return None  # pivot in the augmented column
-        x[p] = row[-1]
-    return x

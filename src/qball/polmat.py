@@ -12,13 +12,13 @@ pieces of function theory on top of it:
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from .algebras import bidegree, matrix_algebra, pol_algebra, star_poly
-from .linalg import solve
 from .ncpoly import Algebra, NCPoly, add_terms
 from .qmatrix import qdet, qminor, subsets_k
-from .scalars import ONE, VScalar, ZERO, neg_qpow, qpow
+from .scalars import ONE, VScalar, neg_qpow, qpow
 
 
 def split_bidegrees(p: NCPoly) -> dict:
@@ -158,12 +158,19 @@ class GLnElement:
     def __mul__(self, other: "GLnElement") -> "GLnElement":
         return GLnElement(self.n, self.poly * other.poly, self.dpow + other.dpow)
 
+    @staticmethod
+    def sum(n: int, elems: list) -> "GLnElement":
+        """One sum over a common det_q power, reduced once.  The reduced form
+        is unique (det_q is central and the algebra is a domain), so this
+        equals any sequence of pairwise additions."""
+        alg = GLnElement.algebra(n)
+        det = qdet(alg, n, cls="z")
+        e = max((x.dpow for x in elems), default=0)
+        return GLnElement(n, alg.sum(x.poly * det ** (e - x.dpow)
+                                     for x in elems), e)
+
     def __add__(self, other: "GLnElement") -> "GLnElement":
-        det = qdet(self.alg, self.n, cls="z")
-        e = max(self.dpow, other.dpow)
-        p1 = self.poly * det ** (e - self.dpow)
-        p2 = other.poly * det ** (e - other.dpow)
-        return GLnElement(self.n, p1 + p2, e)
+        return GLnElement.sum(self.n, [self, other])
 
     def __sub__(self, other: "GLnElement") -> "GLnElement":
         return self + other.scale(VScalar.from_int(-1))
@@ -183,13 +190,14 @@ class GLnElement:
 
     def star(self) -> "GLnElement":
         """The C[GL_n]_q involution, extended antimultiplicatively."""
-        acc = GLnElement(self.n, self.alg.zero(), 0, reduce=False)
+        terms = []
         for w, c in self.poly.terms.items():
             term = GLnElement(self.n, self.alg.scalar(c), 0, reduce=False)
             for g in reversed(w):
                 a, alpha = self.alg.gens[g].i, self.alg.gens[g].j
                 term = term * gl_star_gen(self.n, a, alpha)
-            acc = acc + term
+            terms.append(term)
+        acc = GLnElement.sum(self.n, terms)
         if self.dpow:
             # star(det^-e) = (star det)^-e and star(det) = c * det^-1
             c = _det_star_scale(self.n)
@@ -225,41 +233,34 @@ def _det_star_scale(n: int) -> VScalar:
 
 
 def divide_by_central(p: NCPoly, det: NCPoly):
-    """Exact quotient r with p = det * r, or None.
+    """Exact quotient r with p = det * r, or None, by long division.
 
-    Decided degree by degree as a linear system over Q(v): candidate words
-    for r are the normal words of each total degree, which is sound because
-    det_q is central and the graded pieces are finite dimensional.
+    Order normal words (sorted tuples, so multisets of generators) by length,
+    then lexicographically, and call the smallest word of a polynomial its
+    leading word.  This order is compatible with multiset union.  Every rule
+    rewrites g h (g > h) to c (h, g) plus larger words, with c != 0 (tier-1
+    checks this for n <= 3), so the product of normal words u and w leads
+    with sorted(u + w), coefficient nonzero, and lead(det * w) is
+    sorted(lead(det) + w).
+    So if p = det * r, lead(p) contains lead(det) and the rest of it is
+    lead(r).  Subtracting det times that term removes lead(p) and adds only
+    larger words of the same length, so the loop ends.
     """
-    if p.is_zero():
-        return p
-    by_deg: dict = {}
-    for w, c in p.terms.items():
-        by_deg.setdefault(len(w), {})[w] = c
-    ddeg = len(next(iter(det.terms)))
+    order = lambda w: (len(w), w)
+    need = Counter(min(det.terms, key=order))
+    rest = dict(p.terms)
     out: dict = {}
-    for deg, terms in sorted(by_deg.items()):
-        if deg < ddeg:
+    while rest:
+        lead = min(rest, key=order)
+        have = Counter(lead)
+        if not need <= have:
             return None
-        cand = _words_of_degree(p.alg, deg - ddeg)
-        prods = [det * NCPoly(p.alg, {w: ONE}) for w in cand]
-        support = sorted(set().union(*[pr.terms.keys() for pr in prods],
-                                     terms.keys()))
-        rows = [[pr.terms.get(w, ZERO) for pr in prods] for w in support]
-        rhs = [terms.get(w, ZERO) for w in support]
-        x = solve(rows, rhs)
-        if x is None:
-            return None
-        add_terms(out, zip(cand, x))
+        w = tuple(sorted((have - need).elements()))
+        prod = det * NCPoly(p.alg, {w: ONE})
+        c = rest[lead] * prod.terms[lead].inverse()
+        out[w] = c
+        add_terms(rest, ((x, -(c * y)) for x, y in prod.terms.items()))
     return NCPoly(p.alg, out)
-
-
-def _words_of_degree(alg: Algebra, d: int) -> list:
-    words = [()]
-    for _ in range(d):
-        words = [w + (g,) for w in words for g in range(w[-1] if w else 0,
-                                                        alg.ngens())]
-    return sorted(set(words))
 
 
 def shilov_residuals_gl(n: int):
@@ -272,24 +273,20 @@ def shilov_residuals_gl(n: int):
     the transposed relations to the boundary reduction.
     """
     res = []
+    rng = range(1, n + 1)
     one = GLnElement.one(n)
-    for alpha in range(1, n + 1):
-        for beta in range(1, n + 1):
-            acc = None
-            for j in range(1, n + 1):
-                t = GLnElement.of_gen(n, j, alpha) * gl_star_gen(n, j, beta)
-                t = t.scale(qpow(2 * n - alpha - beta))
-                acc = t if acc is None else acc + t
+    for alpha in rng:
+        for beta in rng:
+            terms = [(GLnElement.of_gen(n, j, alpha) * gl_star_gen(n, j, beta))
+                     .scale(qpow(2 * n - alpha - beta)) for j in rng]
             if alpha == beta:
-                acc = acc - one
-            res.append((("col", alpha, beta), acc))
-    for c in range(1, n + 1):
-        for cp in range(1, n + 1):
-            acc = None
-            for gamma in range(1, n + 1):
-                t = GLnElement.of_gen(n, c, gamma) * gl_star_gen(n, cp, gamma)
-                acc = t if acc is None else acc + t
+                terms.append(one.scale(-ONE))
+            res.append((("col", alpha, beta), GLnElement.sum(n, terms)))
+    for c in rng:
+        for cp in rng:
+            terms = [GLnElement.of_gen(n, c, gamma) * gl_star_gen(n, cp, gamma)
+                     for gamma in rng]
             if c == cp:
-                acc = acc - one.scale(qpow(c + cp - 2 * n))
-            res.append((("row", c, cp), acc))
+                terms.append(one.scale(-qpow(c + cp - 2 * n)))
+            res.append((("row", c, cp), GLnElement.sum(n, terms)))
     return res

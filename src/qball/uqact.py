@@ -20,7 +20,9 @@ derived from the compatibility (a f)* = (S(a))* f*, which fixes
 
 with the plus sign exactly at i = n.  The same compatibility drives the
 formal involution on U_q generators (``ustar``) used by the cross-check
-tests.
+tests.  The relations of U_q sl_2n are skew-primitive (J. C. Jantzen,
+*Lectures on Quantum Groups*, AMS 1996, ch. 4), so they and the star
+compatibility are checked on generators of the algebra only.
 """
 
 from __future__ import annotations
@@ -329,7 +331,19 @@ def module_algebra_residuals(t: ActionTables):
 
 
 def operator_relation_residuals(t: ActionTables, words):
-    """Serre and commutation relations as operators on the given words."""
+    """Serre and commutation relations as operators on the given words.
+
+    On 1 and the generators this proves them on the whole algebra.  The
+    rules of ``act_word`` say Delta(E) = E x 1 + K x E and
+    Delta(F) = F x K^-1 + 1 x F.  Each relator R is skew-primitive,
+    Delta(R) = R x g + h x R with g, h grouplike: R = K_i E_j K_i^-1 -
+    q^a E_j gives R x 1 + K_j x R, and KF likewise; modulo those, EF gives
+    R x K_j^-1 + K_i x R (the cross terms K_i F_j x E_i K_j^-1 and
+    F_j K_i x K_j^-1 E_i cancel as a_ij = a_ji), and so do Serre and comm.
+    So R(f f') = R(f) g(f') + h(f) R(f'), and R 1 = eps(R) 1 = 0: the kernel
+    of R is a subalgebra containing 1, once ``module_algebra_residuals``
+    and the ``confluence`` suite make ``act`` a module-algebra action.
+    """
     out = []
     qm = qpow(1) - qpow(-1)
     polys = [NCPoly(t.alg, {w: ONE}) for w in words]
@@ -375,7 +389,17 @@ def operator_relation_residuals(t: ActionTables, words):
 
 
 def star_compat_residuals(t: ActionTables, words):
-    """(a f)* = (S(a))* f* on the given words, for all Chevalley generators."""
+    """(a f)* = (S(a))* f* on the given words, for all Chevalley generators.
+
+    On 1 and the generators this proves it on the whole algebra.
+    Delta(x*) = (* x *) Delta(x) holds on E and F by hand (Delta(E*) =
+    +-(K F x 1 + K x K F), and likewise for F), and Delta(S(a)) =
+    (S x S) Delta^op(a).  So for Delta(a) = sum a' x a'', both
+    (a (f g))* = sum (a'' g)* (a' f)* and S(a)* (g* f*) =
+    sum (S(a'')* g*)(S(a')* f*).  Every a', a'' is 1 or a Chevalley
+    generator, so the f for which it holds for every Chevalley a form a
+    subalgebra (``star_poly`` is antimultiplicative, the ``star`` suite).
+    """
     out = []
     for w in words:
         p = NCPoly(t.alg, {w: ONE})

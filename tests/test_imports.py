@@ -1,0 +1,47 @@
+"""Every name a module of the package imports is used in that module.
+
+No linter is part of the toolchain, so this is the one check that catches
+an import left behind when the code using it is deleted.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qball"
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by an import and never read, in first-import order.
+
+    A name listed in ``__all__`` counts as read, since the module exports it.
+    """
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.append(alias.asname or alias.name.split(".")[0])
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read |= {e.value for e in node.value.elts}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_import_finder():
+    src = ("from __future__ import annotations\n"
+           "import os.path\nfrom a import b, c as d\nfrom e import f\n"
+           "__all__ = ['f']\nprint(b)\n")
+    assert unused_imports(src) == ["os", "d"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -1,9 +1,11 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
 from qball.algebras import bidegree, pol_algebra, star_poly
 from qball.classical import classical_det_one_minus_zzstar, classical_poly
+from qball.linalg import rref
 from qball.ncpoly import NCPoly
 from qball.polmat import (GLnElement, TruncatedSeries, divide_by_central,
                           gl_star_gen, shilov_residuals_gl, split_bidegrees,
@@ -201,6 +203,70 @@ def test_divide_by_central_det():
     # reduction inside the constructor cancels det * det^-1
     e = GLnElement(n, p, 1)
     assert e.dpow == 0 and e.poly == alg.gen("z", 1, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rewrite_rules_lead_with_the_swapped_pair(n):
+    # the premise of the long division in divide_by_central: g h rewrites
+    # to c (h, g) plus words that are larger as sorted tuples, with c != 0
+    alg = GLnElement.algebra(n)
+    for g in range(alg.ngens()):
+        for h in range(g):
+            rule = alg.pair_rule(g, h)
+            words = [w for _, w in rule]
+            assert min(words, key=lambda w: (len(w), w)) == (h, g)
+            assert words.count((h, g)) == 1
+            assert all(not c.is_zero() for c, w in rule if w == (h, g))
+
+
+def _dense_divide(p, det):
+    """Reference quotient: solve det * r = p degree by degree as a dense
+    linear system over Q(v) in the normal words of each degree."""
+    alg = p.alg
+    ddeg = len(next(iter(det.terms)))
+    by_deg = {}
+    for w, c in p.terms.items():
+        by_deg.setdefault(len(w), {})[w] = c
+    out = {}
+    for deg, terms in by_deg.items():
+        if deg < ddeg:
+            return None
+        cand = list(combinations_with_replacement(range(alg.ngens()),
+                                                  deg - ddeg))
+        prods = [det * NCPoly(alg, {w: ONE}) for w in cand]
+        support = sorted(set(terms).union(*(pr.terms for pr in prods)))
+        red, pivots = rref([[pr.terms.get(w, ZERO) for pr in prods]
+                            + [terms.get(w, ZERO)] for w in support])
+        if len(cand) in pivots:
+            return None
+        out.update((cand[c], row[-1]) for row, c in zip(red, pivots)
+                   if not row[-1].is_zero())
+    return NCPoly(alg, out)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_division_matches_dense_reference(n):
+    alg = GLnElement.algebra(n)
+    det = qdet(alg, n, cls="z")
+    for d in range(3):
+        for w in combinations_with_replacement(range(alg.ngens()), d):
+            p = det * NCPoly(alg, {w: ONE})
+            got = divide_by_central(p, det)
+            assert got == _dense_divide(p, det) == NCPoly(alg, {w: ONE})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_division_rejects_a_non_divisible_remainder(n):
+    alg = GLnElement.algebra(n)
+    det = qdet(alg, n, cls="z")
+    w = alg.gen("z", 1, 2)
+    # u = z_1^1 has too low a degree; u = lead(det * w) contains lead(det)
+    # but is one term of det * w only
+    lead = min((det * w).terms, key=lambda x: (len(x), x))
+    for u in (alg.gen("z", 1, 1), NCPoly(alg, {lead: ONE})):
+        p = det * w + u
+        assert divide_by_central(p, det) is None
+        assert _dense_divide(p, det) is None
 
 
 def test_gl_equality_by_cross_multiplication():

@@ -10,6 +10,7 @@ from qball.uqact import (UqGen, act, act_expr, antipode, boundary_tables,
                          operator_relation_residuals, pol_tables, rect_tables,
                          square_tables, star_compat_residuals,
                          star_of_antipode, ustar, weight, word_weight)
+from qball.suites import run_suite
 
 
 def _domain_words(t, maxdeg=2):
@@ -70,6 +71,42 @@ def test_star_compatibility_both_paths():
     t = pol_tables(2)
     words = _domain_words(t, 1)
     assert star_compat_residuals(t, words) == []
+
+
+def _generator_words(t):
+    return [()] + [(g,) for g in range(t.alg.ngens())]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_operator_relations_on_generators(n):
+    t = pol_tables(n)
+    assert operator_relation_residuals(t, _generator_words(t)) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_star_compatibility_on_generators(n):
+    t = pol_tables(n)
+    assert star_compat_residuals(t, _generator_words(t)) == []
+
+
+@pytest.mark.parametrize("table,cls,a,al", [("E", "z", 2, 1), ("F", "z", 1, 1),
+                                            ("E", "zs", 1, 1),
+                                            ("F", "zs", 2, 1)])
+def test_action_suite_fails_on_a_corrupted_table(monkeypatch, table, cls, a, al):
+    # scaling one nonzero E_1 or F_1 value by q must be caught, and the
+    # generator-level relation and star checks each catch it on their own
+    t = pol_tables(2)
+    entries = getattr(t, table)
+    key = (1, t.alg.gen_code(cls, a, al))
+    assert not entries[key].is_zero()
+    monkeypatch.setitem(entries, key, entries[key].scale(qpow(1)))
+    ops = operator_relation_residuals(t, _generator_words(t))
+    stars = star_compat_residuals(t, _generator_words(t))
+    assert ops and stars
+    rep = run_suite("action", 2, 1)
+    assert rep.status == "FAIL"
+    assert rep.residual_count == (len(module_algebra_residuals(t)) + len(ops)
+                                  + len(stars))
 
 
 def test_star_compat_explicit_example():
