@@ -14,7 +14,6 @@ from itertools import permutations
 
 from .kernels import Kernel
 from .ncpoly import NCPoly, add_terms
-from .polmat import TruncatedSeries
 
 
 def cpoly_zero() -> dict:
@@ -43,10 +42,6 @@ def classical_poly(p: NCPoly) -> dict:
     gens = p.alg.gens
     return add_terms({}, ((tuple(sorted(tuple(gens[g]) for g in w)), c.eval_at(1))
                           for w, c in p.terms.items()))
-
-
-def classical_series(u: TruncatedSeries) -> dict:
-    return classical_poly(u.as_poly())
 
 
 def classical_kernel(k: Kernel) -> dict:

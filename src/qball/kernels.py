@@ -25,6 +25,11 @@ multiplication by y never lowers the z-count or the z*-count of a word (see
 :func:`substitute_x_inverse`).  So in-box components of the Poisson kernel
 are exact.
 
+``Kernel`` is the one box-truncated element of the package; the n = 1
+Poisson integral is a kernel with empty second-leg words.  U_q acts across
+the legs by the coproduct (:meth:`Kernel.act`), and on one leg through
+``uqact.act_word`` plus closed forms for the power block (:func:`act_leg`).
+
 Terms are accumulated with ``ncpoly.add_terms``.  A sum of many kernels
 goes through :meth:`KernelSpace.sum`, which adds every summand into one
 dict and constructs the result once, so the bidegree check of
@@ -39,11 +44,11 @@ from typing import Iterable
 from .algebras import bidegree, boundary_algebra, pol_algebra, star_poly
 from .boundary import N1Boundary, nu_n1
 from .ncpoly import Algebra, NCPoly, add_terms
-from .polmat import TruncatedSeries, y_element
+from .polmat import y_element
 from .qmatrix import l_pairs, qminor, subsets_k
 from .scalars import ONE, VScalar, neg_qpow, qpow, vpow
-from .uqact import (ActionTables, UqGen, boundary_tables, chevalley_gens,
-                    counit, pol_tables)
+from .uqact import (ActionTables, UqGen, act_word, boundary_tables,
+                    chevalley_gens, counit, pol_tables)
 
 
 class PowerSignatureError(ValueError):
@@ -55,49 +60,20 @@ class CutoffMismatchError(ValueError):
 
 
 class LegContext:
-    """One tensor leg: algebra, action tables, optional power symbols."""
+    """One tensor leg: its algebra, its action tables and the codes of
+    z_n^n and (z_n^n)* (zeta on the second leg), the letters that E_n and
+    F_n attach to the power block."""
 
-    def __init__(self, alg: Algebra, tables: ActionTables, zcls: str | None):
+    def __init__(self, alg: Algebra, tables: ActionTables, zcls: str):
         self.alg = alg
         self.tables = tables
-        self.zcls = zcls  # None: no power symbols allowed on this leg
-        if zcls is not None:
-            n = tables.n
-            scls = {"z": "zs", "zeta": "zetas"}[zcls]
-            self.znn = alg.gen_code(zcls, n, n)
-            self.zsnn = alg.gen_code(scls, n, n)
+        n = tables.n
+        self.znn = alg.gen_code(zcls, n, n)
+        self.zsnn = alg.gen_code(zcls + "s", n, n)
 
     def sdeg(self, word: tuple) -> int:
         j, k = bidegree(self.alg, word)
         return j - k
-
-    # -- symbol data for the quasi-central pair t, t* ----------------------
-
-    def sym_k_eig(self, i: int, sym: str) -> VScalar:
-        if i != self.tables.n:
-            return ONE
-        return {"T": qpow(-1), "Tinv": qpow(1),
-                "TS": qpow(1), "TSinv": qpow(-1)}[sym]
-
-    def sym_E(self, i: int, sym: str):
-        # E_n t = q^(-1/2) t z_n^n and its inverse-pair consequence
-        if i != self.tables.n:
-            return {}
-        if sym == "T":
-            return {(1, 0, (self.znn,)): vpow(-1)}
-        if sym == "Tinv":
-            return {(-1, 0, (self.znn,)): -vpow(-1)}
-        return {}
-
-    def sym_F(self, i: int, sym: str):
-        # F_n t* = q^(1/2) t* (z_n^n)* and its inverse-pair consequence
-        if i != self.tables.n:
-            return {}
-        if sym == "TS":
-            return {(0, 1, (self.zsnn,)): vpow(1)}
-        if sym == "TSinv":
-            return {(0, -1, (self.zsnn,)): -vpow(5)}
-        return {}
 
 
 def _leg_mul(ctx: LegContext, e1: dict, e2: dict) -> dict:
@@ -112,69 +88,64 @@ def _leg_mul(ctx: LegContext, e1: dict, e2: dict) -> dict:
     return out
 
 
-def _leg_symbols(a: int, b: int, word: tuple):
-    syms = ["T" if a > 0 else "Tinv"] * abs(a)
-    syms += ["TS" if b > 0 else "TSinv"] * abs(b)
-    return syms + list(word)
-
-
 def _leg_k_eig(ctx: LegContext, i: int, a: int, b: int, word: tuple) -> VScalar:
-    c = ctx.sym_k_eig(i, "T" if a > 0 else "Tinv") ** abs(a)
-    c = c * ctx.sym_k_eig(i, "TS" if b > 0 else "TSinv") ** abs(b)
-    return c * ctx.tables.k_word(i, word)
-
-
-def _sym_unit(sym) -> dict:
-    if isinstance(sym, str):
-        da = {"T": 1, "Tinv": -1}.get(sym, 0)
-        db = {"TS": 1, "TSinv": -1}.get(sym, 0)
-        return {(da, db, ()): ONE}
-    return {(0, 0, (sym,)): ONE}
-
-
-def _sym_act(ctx: LegContext, g: UqGen, sym) -> dict:
-    if isinstance(sym, str):
-        return ctx.sym_E(g.i, sym) if g.kind == "E" else ctx.sym_F(g.i, sym)
-    table = ctx.tables.E if g.kind == "E" else ctx.tables.F
-    p = table[(g.i, sym)]
-    return {(0, 0, w): c for w, c in p.terms.items()}
-
-
-def _sym_k(ctx: LegContext, i: int, sym, inv: bool = False) -> VScalar:
-    c = ctx.sym_k_eig(i, sym) if isinstance(sym, str) else ctx.tables.K[(i, sym)]
-    return c.inverse() if inv else c
+    """K_i on t^a t*^b word; K_n t = q^-1 t, K_n t* = q t*, others fix both."""
+    c = ctx.tables.k_word(i, word)
+    return c * qpow(b - a) if i == ctx.tables.n else c
 
 
 def act_leg(ctx: LegContext, g: UqGen, a: int, b: int, word: tuple) -> dict:
-    """E_i or F_i on the leg element t^a t*^b word, via the Leibniz rule
-    over the symbol sequence (right to left).  Returns {(a', b', w'): coeff}.
+    """E_i or F_i on the leg element h w, h = t^a t*^b and w a Wick word.
+    Returns {(a', b', w'): coeff}.
 
-    E(h s) = E(h) s + K(h) h E(s);  F(h s) = F(h) K^-1(s) + h F(s), where
-    K^-1 of the suffix is a scalar because every symbol is a weight vector.
+    The Leibniz rules of ``uqact`` split at the power block:
+
+        E(h w) = E(h) w + K(h) h E(w),    F(h w) = F(h) K^-1(w) + h F(w),
+
+    with E(w) and F(w) from ``uqact.act_word``.  Only E_n and F_n move h,
+    and K_n(h) = q^{b-a}.  They act on t and t* by
+
+        E_n t = q^{-1/2} t z_n^n,   F_n t* = q^{1/2} t* (z_n^n)*,
+        E_n t* = 0,                 F_n t = 0,
+
+    and a power block passes a word w on its left with q^{(a+b) sdeg(w)}
+    (``_leg_mul``), so z_n^n t = q t z_n^n and (z_n^n)* t* = q^-1 t* (z_n^n)*.
+    Write E_n(t^a) = e_a t^a z_n^n and F_n(t*^b) = f_b t*^b (z_n^n)*.
+    Splitting t^a = t t^{a-1} and t*^b = t* t*^{b-1}, with K_n(t) = q^-1
+    and K_n^-1(t*^{b-1}) = q^{1-b}, gives
+
+        e_a = q^{-1/2} q^{a-1} + q^-1 e_{a-1},
+        f_b = q^{1/2} q^{1-b} q^{1-b} + f_{b-1},
+
+    for every integer a, b (read backwards from e_0 = f_0 = 0 for negative
+    exponents), so e_a = v^-1 [a]_q with [a]_q = (q^a - q^-a)/(q - q^-1)
+    and f_b = v (1 - q^{-2b})/(1 - q^-2).  Moving z_n^n right past t*^b
+    adds q^b to E(h) = E_n(t^a) t*^b, and F(h) = t^a F_n(t*^b).  Hence
+
+        E_n(t^a t*^b) = v^-1 [a]_q q^b  t^a t*^b z_n^n,
+        F_n(t^a t*^b) = v (1 - q^{-2b})/(1 - q^-2)  t^a t*^b (z_n^n)*.
     """
     if g.kind not in ("E", "F"):
         raise ValueError("act_leg handles E and F only")
-    seq = _leg_symbols(a, b, word)
-    res: dict = {}
-    suffix_elem = {(0, 0, ()): ONE}
-    suffix_kinv = ONE
-    for pos in range(len(seq) - 1, -1, -1):
-        head = seq[pos]
-        head_unit = _sym_unit(head)
-        head_act = _sym_act(ctx, g, head)
-        new: dict = {}
-        if head_act:
-            scale = suffix_kinv if g.kind == "F" else ONE
-            add_terms(new, ((k, c * scale) for k, c
-                            in _leg_mul(ctx, head_act, suffix_elem).items()))
-        if res:
-            scale = _sym_k(ctx, g.i, head) if g.kind == "E" else ONE
-            add_terms(new, ((k, c * scale) for k, c
-                            in _leg_mul(ctx, head_unit, res).items()))
-        res = new
-        suffix_elem = _leg_mul(ctx, head_unit, suffix_elem)
-        suffix_kinv = suffix_kinv * _sym_k(ctx, g.i, head, inv=True)
-    return res
+    n = ctx.tables.n
+    tail = act_word(ctx.tables, g, word).terms
+    if g.i != n:
+        return {(a, b, w): c for w, c in tail.items()}
+    if g.kind == "E":
+        out = {(a, b, w): qpow(b - a) * c for w, c in tail.items()}
+        if a == 0:
+            return out
+        c = vpow(-1) * qpow(b) * (qpow(a) - qpow(-a)) / (qpow(1) - qpow(-1))
+        letter = ctx.znn
+    else:
+        out = {(a, b, w): c for w, c in tail.items()}
+        if b == 0:
+            return out
+        c = (vpow(1) * ctx.tables.k_word(n, word, inv=True)
+             * (ONE - qpow(-2 * b)) / (ONE - qpow(-2)))
+        letter = ctx.zsnn
+    return add_terms(out, _leg_mul(ctx, {(a, b, (letter,)): c},
+                                   {(0, 0, word): ONE}).items())
 
 
 class KernelSpace:
@@ -517,20 +488,6 @@ def substitute_x_inverse(k: Kernel) -> Kernel:
     return Kernel(sp, acc, truncated)
 
 
-def eta_shift(k: Kernel) -> Kernel:
-    """Strip the second-leg (tau tau*)^-n block, after which the second leg
-    is an honest boundary element ready for the invariant integral."""
-    sp = k.space
-    sigs = {key[2:4] for key in k.terms}
-    if sigs <= {(0, 0)}:
-        return k
-    if not sigs <= {(-sp.n, -sp.n)}:
-        raise PowerSignatureError(f"second-leg powers {sorted(sigs)} do not "
-                                  f"match the (-n,-n) integral signature")
-    return Kernel(sp, {key[:2] + (0, 0) + key[4:]: c
-                       for key, c in k.terms.items()}, k.truncated)
-
-
 def poisson_kernel(n: int, cutoff: int, normalized: bool = True) -> Kernel:
     """const * (1 x tau tau*)^n Lbar^-n L^-n with first-leg powers removed.
 
@@ -564,23 +521,16 @@ def _normalized_poisson(n: int, cutoff: int) -> Kernel:
     return praw.scale(p00.inverse())
 
 
-def p_component(P: Kernel, j: int, k: int) -> Kernel:
-    """First-leg bidegree (j, k) part of the Poisson kernel."""
-    return P.first_component(j, k)
-
-
-def poisson_integral_n1(P: Kernel, f: N1Boundary, cutoff: int) -> TruncatedSeries:
-    """(id x nu)(P (1 x f)) for n = 1, as a truncated bigraded series."""
+def poisson_integral_n1(P: Kernel, f: N1Boundary) -> Kernel:
+    """(id x nu)(P (1 x f)) for n = 1, in P's space with empty second legs."""
     sp = P.space
     if sp.n != 1:
         raise ValueError("the integral model is implemented for n = 1")
     if not P.power_signature() <= {(0, 0, 0, 0)}:
         raise PowerSignatureError("kernel carries powers; integrate after "
-                                  "eta_shift / substitution")
+                                  "the substitution")
     acc: dict = {}
     for (_, _, _, _, w1, w2), c in P.terms.items():
         second = N1Boundary.from_boundary(NCPoly(sp.leg2.alg, {w2: c}))
-        add_terms(acc, ((w1, nu_n1(second * f)),))
-    series = TruncatedSeries.from_poly(NCPoly(sp.leg1.alg, acc), cutoff)
-    series.truncated = series.truncated or P.truncated
-    return series
+        add_terms(acc, (((0, 0, 0, 0, w1, ()), nu_n1(second * f)),))
+    return Kernel(sp, acc, P.truncated)

@@ -3,11 +3,11 @@
 Wick normal form itself lives in ``qball.algebras``; this module adds the
 pieces of function theory on top of it:
 
-* bigraded truncated series (the working stand-in for distributions on the
-  quantum ball),
 * the element ``y`` whose classical limit is det(1 - z z*),
 * the localized holomorphic algebra C[GL_n]_q with the involution
   z -> (-q)^{a+alpha-2n} det_q^{-1} (complementary minor).
+
+Box-truncated elements are ``qball.kernels.Kernel``s.
 """
 
 from __future__ import annotations
@@ -15,83 +15,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .algebras import bidegree, matrix_algebra, pol_algebra, star_poly
+from .algebras import matrix_algebra, pol_algebra, star_poly
 from .ncpoly import Algebra, NCPoly, add_terms
 from .qmatrix import qdet, qminor, subsets_k
 from .scalars import ONE, VScalar, neg_qpow, qpow
-
-
-def split_bidegrees(p: NCPoly) -> dict:
-    out: dict = {}
-    for w, c in p.terms.items():
-        out.setdefault(bidegree(p.alg, w), {})[w] = c
-    return {d: NCPoly(p.alg, t) for d, t in out.items()}
-
-
-class TruncatedSeries:
-    """A bigraded element with components (j, k), j, k <= cutoff.
-
-    Components are homogeneous; products discard anything whose bidegree can
-    no longer re-enter the cutoff box and set the sticky ``truncated`` flag.
-    """
-
-    __slots__ = ("alg", "cutoff", "components", "truncated")
-
-    def __init__(self, alg: Algebra, cutoff: int, components: dict,
-                 truncated: bool = False):
-        self.alg = alg
-        self.cutoff = cutoff
-        self.components = {d: p for d, p in components.items() if not p.is_zero()}
-        self.truncated = truncated
-
-    @staticmethod
-    def from_poly(p: NCPoly, cutoff: int) -> "TruncatedSeries":
-        comps = split_bidegrees(p)
-        kept = {d: c for d, c in comps.items()
-                if d[0] <= cutoff and d[1] <= cutoff}
-        return TruncatedSeries(p.alg, cutoff, kept, truncated=len(kept) < len(comps))
-
-    def component(self, j: int, k: int) -> NCPoly:
-        if j > self.cutoff or k > self.cutoff:
-            raise ValueError(f"bidegree ({j},{k}) beyond cutoff {self.cutoff}")
-        return self.components.get((j, k), self.alg.zero())
-
-    def as_poly(self) -> NCPoly:
-        return self.alg.sum(self.components.values())
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.cutoff != other.cutoff:
-            raise ValueError("cutoff mismatch")
-        comps = dict(self.components)
-        for d, p in other.components.items():
-            comps[d] = comps.get(d, self.alg.zero()) + p
-        return TruncatedSeries(self.alg, self.cutoff, comps,
-                               self.truncated or other.truncated)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + other.scale(VScalar.from_int(-1))
-
-    def scale(self, c) -> "TruncatedSeries":
-        return TruncatedSeries(self.alg, self.cutoff,
-                               {d: p.scale(c) for d, p in self.components.items()},
-                               self.truncated)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.cutoff != other.cutoff:
-            raise ValueError("cutoff mismatch")
-        prod = self.as_poly() * other.as_poly()
-        out = TruncatedSeries.from_poly(prod, self.cutoff)
-        out.truncated = out.truncated or self.truncated or other.truncated
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.alg is other.alg and self.cutoff == other.cutoff
-                and self.components == other.components)
-
-    def is_zero(self) -> bool:
-        return not self.components
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +45,12 @@ def y_element(n: int) -> NCPoly:
 # ---------------------------------------------------------------------------
 
 class GLnElement:
-    """poly * det_q^{-dpow} with dpow >= 0, reduced so that the polynomial
-    part is not divisible by det_q whenever dpow > 0."""
+    """poly * det_q^{-dpow} with dpow >= 0.
+
+    The constructor and :meth:`sum` reduce, so that the polynomial part is
+    not divisible by det_q whenever dpow > 0.  A product keeps the
+    unreduced form: products are summed, and the sum reduces once.
+    Equality cross-multiplies, so it does not depend on reduction."""
 
     __slots__ = ("n", "poly", "dpow")
 
@@ -156,7 +87,8 @@ class GLnElement:
         return self.poly.alg
 
     def __mul__(self, other: "GLnElement") -> "GLnElement":
-        return GLnElement(self.n, self.poly * other.poly, self.dpow + other.dpow)
+        return GLnElement(self.n, self.poly * other.poly,
+                          self.dpow + other.dpow, reduce=False)
 
     @staticmethod
     def sum(n: int, elems: list) -> "GLnElement":
@@ -226,7 +158,7 @@ def _det_star_scale(n: int) -> VScalar:
     alg = GLnElement.algebra(n)
     det = qdet(alg, n, cls="z")
     starred = GLnElement(n, det, 0).star()
-    prod = starred * GLnElement(n, det, 0)
+    prod = GLnElement.sum(n, [starred * GLnElement(n, det, 0)])
     assert prod.dpow == 0 and set(prod.poly.terms) == {()}, \
         "star(det_q) is not a scalar multiple of det_q^{-1}"
     return prod.poly.constant_term()

@@ -10,7 +10,9 @@ module-algebra rules
 
 which encode the comultiplication Delta(E) = E x 1 + K x E and
 Delta(F) = F x K^{-1} + 1 x F.  Every generator is a weight vector, so the
-K-factors inside the recursion are plain scalars.
+K-factors inside the recursion are plain scalars.  ``act_word`` is the one
+implementation of these rules: ``kernels.act_leg`` applies it to the Wick
+word of a kernel leg and adds only the closed forms for the power block.
 
 Tables exist for the z / z* algebras (and their zeta twins) and for the
 rectangular and square matrix algebras.  The action on starred letters is

@@ -3,26 +3,26 @@ import pytest
 from qball import suites
 from qball.boundary import N1Boundary, shilov_reduce
 from qball.classical import classical_kernel, classical_p11
-from qball.hua import (d2_at_zero_kernel, d2_at_zero_series, generator_words,
-                       hua_sum_A, hua_sum_B, match_up_to_scalar,
-                       p11_formula_kernel, p11_scalar, verify_hua_kernel,
-                       verify_hua_theorem_n1)
-from qball.kernels import p_component, poisson_kernel, poisson_space
-from qball.polmat import TruncatedSeries
-from qball.scalars import ONE, ZERO, qpow
-from qball.uqact import UqGen
+from qball.hua import (d2_at_zero_kernel, generator_words, hua_sum_A,
+                       hua_sum_B, match_up_to_scalar, p11_formula_kernel,
+                       p11_scalar, verify_hua_kernel, verify_hua_theorem_n1)
+from qball.kernels import poisson_kernel, poisson_space
+from qball.scalars import ONE, qpow
 
 
-def _series(alg, poly, cutoff=4):
-    return TruncatedSeries.from_poly(poly, cutoff)
+def _first_leg(poly, cutoff=4):
+    """poly on the first leg and 1 on the second, the shape of an n = 1
+    Poisson integral."""
+    sp = poisson_space(1, cutoff)
+    return sp.from_pair(poly, sp.leg2.alg.one())
 
 
 def test_d2_dual_basis():
     sp = poisson_space(1, 4)
     alg = sp.leg1.alg
-    u = _series(alg, alg.gen("z", 1, 1) * alg.gen("zs", 1, 1))
-    assert d2_at_zero_series(u, 1, 1, 1, 1) == ONE
-    assert d2_at_zero_series(_series(alg, alg.one()), 1, 1, 1, 1) == ZERO
+    u = _first_leg(alg.gen("z", 1, 1) * alg.gen("zs", 1, 1))
+    assert d2_at_zero_kernel(u, 1, 1, 1, 1) == sp.leg2.alg.one()
+    assert d2_at_zero_kernel(_first_leg(alg.one()), 1, 1, 1, 1).is_zero()
 
 
 def test_d2_kernel_valued_on_poisson_kernel():
@@ -45,12 +45,12 @@ def test_d2_kernel_valued_on_poisson_kernel():
 def test_hua_sums_trivial_and_negative_control():
     sp = poisson_space(1, 4)
     alg = sp.leg1.alg
-    one = _series(alg, alg.one())
-    assert hua_sum_A(one, 1, 1, 1) == ZERO
-    assert hua_sum_B(one, 1, 1, 1) == ZERO
+    one = _first_leg(alg.one())
+    assert hua_sum_A(one, 1, 1, 1).is_zero()
+    assert hua_sum_B(one, 1, 1, 1).is_zero()
     # u = z z* is not a Poisson integral: the A-sum is q^2, not 0
-    u = _series(alg, alg.gen("z", 1, 1) * alg.gen("zs", 1, 1))
-    assert hua_sum_A(u, 1, 1, 1) == qpow(2)
+    u = _first_leg(alg.gen("z", 1, 1) * alg.gen("zs", 1, 1))
+    assert hua_sum_A(u, 1, 1, 1) == sp.leg2.alg.scalar(qpow(2))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -73,7 +73,7 @@ def test_intermediate_display_before_reduction():
     n = 2
     P = poisson_kernel(n, 2)
     alg = P.space.leg2.alg
-    c = match_up_to_scalar(p_component(P, 1, 1), p11_formula_kernel(n, 2))
+    c = match_up_to_scalar(P.first_component(1, 1), p11_formula_kernel(n, 2))
     assert c is not None
     geo = (ONE - qpow(-2 * n)) / (ONE - qpow(-2))
     for alpha in range(1, n + 1):
@@ -105,9 +105,9 @@ def test_p11_matches_displayed_form():
     expected = {1: ONE, 2: qpow(2) + ONE, 3: qpow(4) + qpow(2) + ONE}
     for n, cutoff in ((1, 4), (2, 2), (3, 1)):
         P = poisson_kernel(n, cutoff)
-        c = match_up_to_scalar(p_component(P, 1, 1), p11_formula_kernel(n, cutoff))
+        c = match_up_to_scalar(P.first_component(1, 1), p11_formula_kernel(n, cutoff))
         assert c == expected[n] == p11_scalar(n)
-        scaled = p_component(P, 1, 1).scale(c.inverse())
+        scaled = P.first_component(1, 1).scale(c.inverse())
         assert classical_kernel(scaled) == classical_p11(n)
 
 
@@ -126,4 +126,4 @@ def test_match_up_to_scalar_rejects_mismatch():
     sp = P.space
     wrong = p11_formula_kernel(n, 2) + sp.from_pair(
         sp.leg1.alg.gen("z", 1, 1), sp.leg2.alg.one())
-    assert match_up_to_scalar(p_component(P, 1, 1), wrong) is None
+    assert match_up_to_scalar(P.first_component(1, 1), wrong) is None

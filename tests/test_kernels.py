@@ -8,14 +8,13 @@ from qball import kernels
 from qball.algebras import bidegree
 from qball.boundary import N1Boundary
 from qball.kernels import (CutoffMismatchError, Kernel, PowerSignatureError,
-                           build_L, build_Lbar,
-                           check_invariant, eta_shift, kinverse, p_component,
-                           poisson_integral_n1, poisson_kernel, poisson_space,
-                           substitute_x_inverse)
+                           act_leg, build_L, build_Lbar, check_invariant,
+                           kinverse, poisson_integral_n1, poisson_kernel,
+                           poisson_space, substitute_x_inverse)
 from qball.ncpoly import NCPoly, add_terms
 from qball.polmat import y_element
-from qball.scalars import ONE, VScalar, qpow
-from qball.uqact import UqGen
+from qball.scalars import ONE, VScalar, qpow, vpow
+from qball.uqact import UqGen, act, chevalley_gens
 
 
 def test_kmul_commutation_displays():
@@ -264,22 +263,6 @@ def test_left_multiplication_by_y_never_lowers_either_count(n, D, nwords):
                 assert j >= c and k >= d, (wy, w, wp)
 
 
-def test_eta_shift():
-    sp = poisson_space(1, 2)
-    a2 = sp.leg2.alg
-    k = sp.from_pair(sp.leg1.alg.one(),
-                     a2.gen("zeta", 1, 1) * a2.gen("zetas", 1, 1),
-                     key=(-1, -1, -1, -1))
-    shifted = eta_shift(k)
-    assert shifted.power_signature() == {(-1, -1, 0, 0)}
-    (key, c), = shifted.terms.items()
-    reduced = N1Boundary.from_boundary(NCPoly(a2, {key[5]: c}))
-    assert reduced == N1Boundary.one()
-    assert eta_shift(sp.from_pair(sp.leg1.alg.one(), a2.one())) is not None
-    with pytest.raises(PowerSignatureError):
-        eta_shift(sp.power_term(0, 0, -1, 0))
-
-
 def test_poisson_kernel_n1_matches_example_expansion():
     D = 4
     sp = poisson_space(1, D)
@@ -295,25 +278,124 @@ def test_poisson_components():
     D = 4
     P = poisson_kernel(1, D)
     sp = P.space
-    assert p_component(P, 0, 0) == sp.unit()
-    p10 = p_component(P, 1, 0)
+    assert P.first_component(0, 0) == sp.unit()
+    p10 = P.first_component(1, 0)
     z = sp.leg1.alg.gen_code("z", 1, 1)
     assert set(k[4] for k in p10.terms) == {(z,)}
-    assert p_component(sp.unit(), 1, 1).is_zero()
+    assert sp.unit().first_component(1, 1).is_zero()
     with pytest.raises(ValueError):
-        p_component(P, D + 1, 0)
+        P.first_component(D + 1, 0)
 
 
 def test_poisson_integral_basics():
     D = 4
     P = poisson_kernel(1, D)
-    u = poisson_integral_n1(P, N1Boundary.one(), D)
-    assert u.as_poly() == P.space.leg1.alg.one()
-    uz = poisson_integral_n1(P, N1Boundary.zeta(1), D)
-    assert set(uz.components) == {(1, 0)}
-    comp = uz.component(1, 0)
-    z = P.space.leg1.alg.gen("z", 1, 1)
-    assert comp == z  # the normalised operator sends zeta to z on the nose
+    sp = P.space
+    u = poisson_integral_n1(P, N1Boundary.one())
+    assert u == sp.unit() and u.truncated == P.truncated
+    uz = poisson_integral_n1(P, N1Boundary.zeta(1))
+    # the normalised operator sends zeta to z on the nose
+    assert uz == sp.from_pair(sp.leg1.alg.gen("z", 1, 1), sp.leg2.alg.one())
+    with pytest.raises(PowerSignatureError):
+        poisson_integral_n1(sp.power_term(0, 0, 1, 1), N1Boundary.one())
+    with pytest.raises(ValueError):
+        poisson_integral_n1(poisson_kernel(2, 2), N1Boundary.one())
+
+
+# -- the U_q action on one leg ------------------------------------------------
+
+# power symbol: (da, db, q-exponent of its K_n eigenvalue, E_n image
+# coefficient, F_n image coefficient), from E_n t = q^-1/2 t z_n^n,
+# F_n t* = q^1/2 t* (z_n^n)* and the inverse-pair consequences
+_POWER_SYMBOLS = {"T": (1, 0, -1, vpow(-1), None),
+                  "Tinv": (-1, 0, 1, -vpow(-1), None),
+                  "TS": (0, 1, 1, None, vpow(1)),
+                  "TSinv": (0, -1, -1, None, -vpow(5))}
+
+
+def _act_leg_by_symbols(ctx, g, a, b, word):
+    """Reference: the Leibniz rule one symbol at a time, right to left,
+    over t^a t*^b written out as |a| + |b| power symbols followed by the
+    letters of the word."""
+    n = ctx.tables.n
+    seq = (["T" if a > 0 else "Tinv"] * abs(a)
+           + ["TS" if b > 0 else "TSinv"] * abs(b) + list(word))
+
+    def unit(sym):
+        da, db = _POWER_SYMBOLS[sym][:2] if sym in _POWER_SYMBOLS else (0, 0)
+        return {(da, db, () if sym in _POWER_SYMBOLS else (sym,)): ONE}
+
+    def image(sym):
+        if sym not in _POWER_SYMBOLS:
+            table = ctx.tables.E if g.kind == "E" else ctx.tables.F
+            return {(0, 0, w): c for w, c in table[(g.i, sym)].terms.items()}
+        da, db, _, e, f = _POWER_SYMBOLS[sym]
+        c = e if g.kind == "E" else f
+        if g.i != n or c is None:
+            return {}
+        return {(da, db, (ctx.znn if g.kind == "E" else ctx.zsnn,)): c}
+
+    def k_eig(sym):
+        if sym not in _POWER_SYMBOLS:
+            return ctx.tables.K[(g.i, sym)]
+        return qpow(_POWER_SYMBOLS[sym][2]) if g.i == n else ONE
+
+    res, suffix, suffix_kinv = {}, {(0, 0, ()): ONE}, ONE
+    for head in reversed(seq):
+        new = {}
+        if image(head):
+            scale = suffix_kinv if g.kind == "F" else ONE
+            add_terms(new, ((key, c * scale) for key, c in
+                            kernels._leg_mul(ctx, image(head), suffix).items()))
+        if res:
+            scale = k_eig(head) if g.kind == "E" else ONE
+            add_terms(new, ((key, c * scale) for key, c in
+                            kernels._leg_mul(ctx, unit(head), res).items()))
+        res = new
+        suffix = kernels._leg_mul(ctx, unit(head), suffix)
+        suffix_kinv = suffix_kinv * k_eig(head).inverse()
+    return res
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_act_leg_matches_the_symbol_by_symbol_reference(n):
+    sp = poisson_space(n, n)
+    L, Lb = build_L(n, n), build_Lbar(n, n)
+    for leg, idx in ((sp.leg1, 4), (sp.leg2, 5)):
+        words = {key[idx] for k in (L, Lb) for key in k.terms}
+        for w in words:
+            for i in range(1, 2 * n):
+                for kind in ("E", "F"):
+                    g = UqGen(kind, i)
+                    for a in range(-2, 3):
+                        for b in range(-2, 3):
+                            assert (act_leg(leg, g, a, b, w)
+                                    == _act_leg_by_symbols(leg, g, a, b, w)), \
+                                (leg.alg.name, g, a, b, w)
+
+
+@pytest.mark.parametrize("case", ["integral", "edge"])
+def test_kernel_act_on_one_leg_is_the_pol_action_cut_to_the_box(case):
+    # with 1 on the second leg, Kernel.act is uqact.act on the first leg,
+    # cut to the box; "edge" has z^2 at cutoff 2, which E_1 raises past it
+    D = 2
+    sp = poisson_space(1, D)
+    alg, one2 = sp.leg1.alg, sp.leg2.alg.one()
+    if case == "integral":
+        u = poisson_integral_n1(poisson_kernel(1, D), N1Boundary.zeta(-1))
+        p = NCPoly(alg, {key[4]: c for key, c in u.terms.items()})
+    else:
+        z, zs = alg.gen("z", 1, 1), alg.gen("zs", 1, 1)
+        p = alg.one() + z * z + z * zs.scale(qpow(3)) + zs
+    u = sp.from_pair(p, one2)
+    flags = set()
+    for g in chevalley_gens(1):
+        got = u.act(g)
+        expect = Kernel(sp, {(0, 0, 0, 0, w, ()): c
+                             for w, c in act(sp.leg1.tables, g, p).terms.items()})
+        assert got == expect and got.truncated == expect.truncated
+        flags.add(got.truncated)
+    assert flags == ({False, True} if case == "edge" else {False})
 
 
 def _kernel_hash(P) -> str:

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qball.algebras import bidegree, boundary_algebra, matrix_algebra, pol_algebra
+from qball.kernels import poisson_space
 from qball.ncpoly import (Algebra, Generator, NCPoly, UnknownGeneratorError,
                           add_terms, normalize, overlap_residuals)
-from qball.polmat import split_bidegrees
 from qball.scalars import ONE, qpow
 
 ALGEBRAS = lambda: [pol_algebra(1), pol_algebra(2),
@@ -96,26 +96,24 @@ def test_associativity_on_random_triples(alg):
 
 
 def test_grading_components_sum_back():
-    alg = pol_algebra(2)
+    sp = poisson_space(2, 6)
+    alg, one2 = sp.leg1.alg, sp.leg2.alg.one()
     rng = random.Random(31)
     for _ in range(50):
-        p = normalize(alg, _random_word(rng, alg, 6), ONE)
-        parts = split_bidegrees(p)
-        acc = alg.zero()
+        u = sp.from_pair(normalize(alg, _random_word(rng, alg, 6), ONE), one2)
+        parts = {(j, k): u.first_component(j, k)
+                 for j in range(7) for k in range(7)}
         for d, comp in parts.items():
-            for w in comp.terms:
-                assert bidegree(alg, w) == d
-            acc = acc + comp
-        assert acc == p
+            for key in comp.terms:
+                assert bidegree(alg, key[4]) == d
+        assert sp.sum(parts.values()) == u
 
 
 def test_bidegree_of_mixed_word():
     alg = pol_algebra(2)
     p = alg.gen("z", 1, 1) * alg.gen("zs", 2, 2)
-    (d, comp), = split_bidegrees(p).items()
-    assert d == (1, 1)
-    assert comp == p
-    assert split_bidegrees(alg.one()) == {(0, 0): alg.one()}
+    assert {bidegree(alg, w) for w in p.terms} == {(1, 1)}
+    assert bidegree(alg, ()) == (0, 0)
 
 
 @pytest.mark.parametrize("one", [ONE, Fraction(1)], ids=["VScalar", "Fraction"])
