@@ -16,7 +16,7 @@ import sys
 
 from .parser import ExprError, parse_expr
 from .render import poly_text
-from .suites import SUITE_NAMES, run_suite, suite_limits
+from .suites import SUITE_NAMES, run_suite
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_SKIPPED = 0, 1, 2, 3
 
@@ -87,7 +87,7 @@ def cmd_limits(args) -> int:
     if args.n < 1:
         print("error: n must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    return _emit([suite_limits(args.n, args.cutoff)], args.output)
+    return _emit([run_suite("limits", args.n, args.cutoff)], args.output)
 
 
 def main(argv=None) -> int:

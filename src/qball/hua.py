@@ -7,34 +7,18 @@ zero on the Shilov boundary) and, for n = 1, at the integral level on
 explicit Poisson integrals of boundary functions.  Both levels read the
 derivatives off a ``Kernel``: an n = 1 Poisson integral is a kernel with
 empty second legs, and U_q acts on it through ``Kernel.act``.
+
+The two ``verify_hua_*`` checkers return labelled residuals, ``[(key, r)]``
+with every r required to vanish; ``suites`` turns them into a report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .boundary import shilov_reduce
 from .kernels import Kernel, poisson_integral_n1, poisson_kernel, poisson_space
 from .ncpoly import NCPoly, add_terms
-from .render import poly_text
 from .scalars import ONE, VScalar, qpow
 from .uqact import chevalley_gens
-
-
-@dataclass
-class HuaReport:
-    system: str                   # "A" or "B"
-    n: int
-    cutoff: int
-    residuals: dict = field(default_factory=dict)
-    truncated: bool = False
-
-    @property
-    def status(self) -> str:
-        return "PASS" if all(r is None for r in self.residuals.values()) else "FAIL"
-
-    def failures(self) -> dict:
-        return {k: v for k, v in self.residuals.items() if v is not None}
 
 
 def _word_11(alg, b: int, beta: int, a: int, alpha: int) -> tuple:
@@ -75,27 +59,19 @@ def hua_sum_B(u: Kernel, n: int, a: int, b: int,
         d2_at_zero_kernel(u, a, g, b, g).scale(w[g - 1]) for g in range(1, n + 1))
 
 
-def verify_hua_kernel(n: int, cutoff: int, weighted: bool = True,
-                      P: Kernel | None = None) -> list:
-    """Both Hua systems on the Poisson kernel: for every index pair the
+def verify_hua_kernel(P: Kernel, weighted: bool = True) -> list:
+    """Both Hua systems on the Poisson kernel P: for every index pair the
     weighted derivative sum, reduced on the Shilov boundary, must vanish.
 
-    Returns [HuaReport for system A, HuaReport for system B]; with
+    Returns [((system, (x, y)), residual)], system A first; with
     ``weighted=False`` the q^{2c} weights are dropped (negative control).
     """
-    if P is None:
-        P = poisson_kernel(n, cutoff)
-    reports = []
-    for system in ("A", "B"):
-        rep = HuaReport(system, n, cutoff, truncated=P.truncated)
-        for x in range(1, n + 1):
-            for y in range(1, n + 1):
-                s = (hua_sum_A(P, n, x, y, weighted) if system == "A"
-                     else hua_sum_B(P, n, x, y, weighted))
-                r = shilov_reduce(s)
-                rep.residuals[(x, y)] = None if r.is_zero() else poly_text(r)
-        reports.append(rep)
-    return reports
+    n = P.space.n
+    pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+    return ([(("A", xy), shilov_reduce(hua_sum_A(P, n, *xy, weighted)))
+             for xy in pairs]
+            + [(("B", xy), shilov_reduce(hua_sum_B(P, n, *xy, weighted)))
+               for xy in pairs])
 
 
 def generator_words(n: int, max_len: int) -> list:
@@ -110,33 +86,28 @@ def generator_words(n: int, max_len: int) -> list:
     return words
 
 
-def verify_hua_theorem_n1(fs: list, xi_words: list, cutoff: int) -> HuaReport:
+def verify_hua_theorem_n1(fs: list, xi_words: list, cutoff: int) -> list:
     """The integral-level theorem for n = 1: for each boundary function f
     and each generator word xi, both Hua sums of xi (P f) vanish.
 
     Each Poisson integral is a kernel with empty second legs, so xi acts
     through ``Kernel.act`` and the Hua sums are multiples of 1 on the
-    second leg.  Raising a bidegree past the cutoff marks the report
-    truncated rather than failing: the (1,1) extraction needs components
-    up to (1 + |xi|, 1 + |xi|).
+    second leg.  Returns [((f index, xi reprs, system), sum)].  The (1,1)
+    extraction needs components up to (1 + |xi|, 1 + |xi|), so a word
+    with 1 + |xi| > cutoff reads a truncated component.
     """
-    n = 1
-    P = poisson_kernel(n, cutoff)
-    rep = HuaReport("A+B", n, cutoff)
+    P = poisson_kernel(1, cutoff)
+    out = []
     for fi, f in enumerate(fs):
         u = poisson_integral_n1(P, f)
         for xi in xi_words:
-            if 1 + len(xi) > cutoff:
-                rep.truncated = True
             v = u
             for g in reversed(xi):
                 v = v.act(g)
-            for system in ("A", "B"):
-                s = (hua_sum_A(v, n, 1, 1) if system == "A"
-                     else hua_sum_B(v, n, 1, 1))
-                key = (fi, tuple(map(repr, xi)), system)
-                rep.residuals[key] = None if s.is_zero() else poly_text(s)
-    return rep
+            key = (fi, tuple(map(repr, xi)))
+            out += [(key + ("A",), hua_sum_A(v, 1, 1, 1)),
+                    (key + ("B",), hua_sum_B(v, 1, 1, 1))]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -76,18 +76,6 @@ class LegContext:
         return j - k
 
 
-def _leg_mul(ctx: LegContext, e1: dict, e2: dict) -> dict:
-    """Product of leg elements {(a, b, word): coeff} with powers kept left."""
-    out: dict = {}
-    for (a1, b1, w1), c1 in e1.items():
-        s1 = ctx.sdeg(w1)
-        for (a2, b2, w2), c2 in e2.items():
-            c = c1 * c2 * qpow((a2 + b2) * s1)
-            add_terms(out, (((a1 + a2, b1 + b2, w), cw) for w, cw
-                            in ctx.alg.monomial(w1 + w2, c).terms.items()))
-    return out
-
-
 def _leg_k_eig(ctx: LegContext, i: int, a: int, b: int, word: tuple) -> VScalar:
     """K_i on t^a t*^b word; K_n t = q^-1 t, K_n t* = q t*, others fix both."""
     c = ctx.tables.k_word(i, word)
@@ -109,7 +97,8 @@ def act_leg(ctx: LegContext, g: UqGen, a: int, b: int, word: tuple) -> dict:
         E_n t* = 0,                 F_n t = 0,
 
     and a power block passes a word w on its left with q^{(a+b) sdeg(w)}
-    (``_leg_mul``), so z_n^n t = q t z_n^n and (z_n^n)* t* = q^-1 t* (z_n^n)*.
+    (as in ``Kernel.__mul__``), so z_n^n t = q t z_n^n and
+    (z_n^n)* t* = q^-1 t* (z_n^n)*.
     Write E_n(t^a) = e_a t^a z_n^n and F_n(t*^b) = f_b t*^b (z_n^n)*.
     Splitting t^a = t t^{a-1} and t*^b = t* t*^{b-1}, with K_n(t) = q^-1
     and K_n^-1(t*^{b-1}) = q^{1-b}, gives
@@ -144,8 +133,9 @@ def act_leg(ctx: LegContext, g: UqGen, a: int, b: int, word: tuple) -> dict:
         c = (vpow(1) * ctx.tables.k_word(n, word, inv=True)
              * (ONE - qpow(-2 * b)) / (ONE - qpow(-2)))
         letter = ctx.zsnn
-    return add_terms(out, _leg_mul(ctx, {(a, b, (letter,)): c},
-                                   {(0, 0, word): ONE}).items())
+    # h z_n^n w or h (z_n^n)* w: w carries no power block, so no q-factor
+    return add_terms(out, (((a, b, w), cw) for w, cw
+                           in ctx.alg.monomial((letter,) + word, c).terms.items()))
 
 
 class KernelSpace:

@@ -99,15 +99,6 @@ class _Parser:
             raise ExprError(
                 f"cannot mix {cls!r} with {self.family} generators", pos)
 
-    def _lift(self, p):
-        """Re-root a polynomial on the current algebra (scalars upgrade)."""
-        if isinstance(p, VScalar):
-            return p
-        if p.alg is self.algebra():
-            return p
-        assert p.alg is scalar_algebra()
-        return self.algebra().scalar(p.constant_term())
-
     # -- grammar -------------------------------------------------------------
 
     def parse(self):
@@ -117,12 +108,12 @@ class _Parser:
             raise ExprError(f"unexpected trailing input {tok[1]!r}", tok[2])
         if isinstance(p, VScalar):
             p = self.algebra().scalar(p)
-        return self.family or "scalar", self._lift(p)
+        return self.family or "scalar", p
 
     def expr(self):
         if self.peek()[:2] == ("sym", "-"):
             self.take()
-            acc = self._negate(self.term())
+            acc = -self.term()
         else:
             acc = self.term()
         while self.peek()[1] in ("+", "-") and self.peek()[0] == "sym":
@@ -154,10 +145,9 @@ class _Parser:
                 return base ** e
             if e >= 0:
                 return base ** e
-            c = self._as_scalar(base)
-            if c is None:
+            if set(base.terms) - {()}:
                 raise ExprError("negative power of a non-scalar", pos)
-            return base.alg.scalar(c.inverse())
+            return base.alg.scalar(base.constant_term().inverse())
         return base
 
     def atom(self):
@@ -202,25 +192,12 @@ class _Parser:
             raise ExprError(
                 f"{cls}[{i},{j}] out of range for n={self.n}", pos)
 
-    def _as_scalar(self, p):
-        if isinstance(p, VScalar):
-            return p
-        if set(p.terms) <= {()}:
-            return p.constant_term()
-        return None
-
-    def _negate(self, p):
-        return -p
-
     def _align(self, a, b):
         """Coerce the scalar side when exactly one operand is a polynomial."""
         if isinstance(a, VScalar) and isinstance(b, NCPoly):
             return b.alg.scalar(a), b
         if isinstance(b, VScalar) and isinstance(a, NCPoly):
             return a, a.alg.scalar(b)
-        if isinstance(a, NCPoly) and isinstance(b, NCPoly) and a.alg is not b.alg:
-            # one of them was built before the family was known
-            return self._lift(a), self._lift(b)
         return a, b
 
 

@@ -74,7 +74,8 @@ def l_pairs(I, J) -> int:
 
 def laplace_residuals(n: int):
     """Residuals of the two ordered Laplace splittings of det_q in
-    C[Mat_2n]_q: both must be exactly zero."""
+    C[Mat_2n]_q, labelled "direct-order" and "reversed-order": both must
+    be exactly zero."""
     alg = matrix_algebra(2 * n, 2 * n)
     det = qdet(alg, 2 * n)
     top = tuple(range(1, n + 1))
@@ -85,7 +86,7 @@ def laplace_residuals(n: int):
         splits.append((l_pairs(J, Jc), qminor(alg, top, J), qminor(alg, bot, Jc)))
     s1 = alg.sum((mt * mb).scale(neg_qpow(ell)) for ell, mt, mb in splits)
     s2 = alg.sum((mb * mt).scale(neg_qpow(-ell)) for ell, mt, mb in splits)
-    return (s1 - det, s2 - det)
+    return [("direct-order", s1 - det), ("reversed-order", s2 - det)]
 
 
 def m_map(n: int, p_top: NCPoly, p_bot: NCPoly) -> NCPoly:

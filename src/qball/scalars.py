@@ -192,10 +192,6 @@ class VScalar:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def is_monomial(self) -> bool:
-        """True when the value is c * v^k for an integer c (den = 1)."""
-        return len(self.num) <= 1 and self.den == (1,)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "VScalar":

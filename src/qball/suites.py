@@ -1,7 +1,10 @@
 """Named verification suites behind the CLI.
 
 Each suite runs one family of exact identity checks at the requested (n,
-cutoff) and fills a Report.
+cutoff).  The checkers return labelled residuals ``[(key, r)]``, each r
+with ``is_zero()``; a suite turns the nonzero ones into labels on the
+report it is given, and fails a boolean spot check by its label alone.
+``run_suite`` is the one place that makes, times and returns a Report.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .uqact import (boundary_tables, module_algebra_residuals,
                     operator_relation_residuals, pol_tables, rect_tables,
                     star_compat_residuals)
 
+# the suites of `verify --suite all`; `limits` runs on its own subcommand
 SUITE_NAMES = ["laplace", "central", "confluence", "invariance", "star",
                "action", "poisson", "p11", "hua-kernel", "hua-theorem-n1",
                "shilov-consistency"]
@@ -36,40 +40,31 @@ def _collect(report: Report, labelled):
     report.fail([label for label, r in labelled if not r.is_zero()])
 
 
-def suite_laplace(n: int, cutoff: int) -> Report:
-    rep = Report("laplace", n, cutoff)
-    r1, r2 = laplace_residuals(n)
-    _collect(rep, [("direct-order", r1), ("reversed-order", r2)])
-    return rep
+def suite_laplace(rep: Report, n: int, cutoff: int):
+    _collect(rep, laplace_residuals(n))
 
 
-def suite_central(n: int, cutoff: int) -> Report:
-    rep = Report("central", n, cutoff)
+def suite_central(rep: Report, n: int, cutoff: int):
     _collect(rep, [(f"[det_q, t{k}]", r) for k, r in centrality_residuals(n)])
-    return rep
 
 
-def suite_confluence(n: int, cutoff: int) -> Report:
+def suite_confluence(rep: Report, n: int, cutoff: int):
     """Every overlap ambiguity g > h > k of each rewrite table resolves, which
     by the Diamond Lemma proves the table confluent (see
     :func:`qball.ncpoly.overlap_residuals`)."""
-    rep = Report("confluence", n, cutoff)
     for alg in (pol_algebra(n), boundary_algebra(n), matrix_algebra(n, 2 * n)):
         _collect(rep, [(f"{alg.name}:{t}", r)
                        for t, r in overlap_residuals(alg)])
-    return rep
 
 
-def suite_invariance(n: int, cutoff: int) -> Report:
-    rep = Report("invariance", n, cutoff)
+def suite_invariance(rep: Report, n: int, cutoff: int):
     D = max(cutoff, n)
     for name, k in (("L", build_L(n, D)), ("Lbar", build_Lbar(n, D))):
         rep.truncated = rep.truncated or k.truncated
         _collect(rep, [(f"{name}:{g}", r) for g, r in check_invariant(k)])
-    return rep
 
 
-def suite_star(n: int, cutoff: int) -> Report:
+def suite_star(rep: Report, n: int, cutoff: int):
     """The Pol involution on generators and generator pairs, plus
     involutivity of the GL_n star on the generator span.
 
@@ -80,7 +75,6 @@ def suite_star(n: int, cutoff: int) -> Report:
     is then a homomorphism, the identity once ``star(star(g)) == g``, so
     these finite checks prove both properties on all of Pol.
     """
-    rep = Report("star", n, cutoff)
     alg = pol_algebra(n)
     G = range(alg.ngens())
     gens = [normalize(alg, (g,), ONE) for g in G]
@@ -96,10 +90,9 @@ def suite_star(n: int, cutoff: int) -> Report:
             e = GLnElement.of_gen(n, a, al)
             bad.append((f"gl-star^2 z[{a},{al}]", e.star().star() - e))
     _collect(rep, bad)
-    return rep
 
 
-def suite_action(n: int, cutoff: int) -> Report:
+def suite_action(rep: Report, n: int, cutoff: int):
     """Module-algebra soundness, then the operator relations and the star
     compatibility on the empty word and each single generator of Pol.
 
@@ -108,7 +101,6 @@ def suite_action(n: int, cutoff: int) -> Report:
     :func:`qball.uqact.operator_relation_residuals` and
     :func:`qball.uqact.star_compat_residuals`).
     """
-    rep = Report("action", n, cutoff)
     for tables, tag in ((pol_tables(n), "pol"), (rect_tables(n), "rect"),
                         (boundary_tables(n), "boundary")):
         _collect(rep, [(f"{tag}:{k}", r)
@@ -118,14 +110,12 @@ def suite_action(n: int, cutoff: int) -> Report:
     _collect(rep, [(f"op:{k}", r)
                    for k, r in operator_relation_residuals(t, words)])
     _collect(rep, [(f"starcompat:{g}:{w}", r)
-                   for g, w, r in star_compat_residuals(t, words)])
-    return rep
+                   for (g, w), r in star_compat_residuals(t, words)])
 
 
-def suite_poisson(n: int, cutoff: int) -> Report:
+def suite_poisson(rep: Report, n: int, cutoff: int):
     """Inverse identities for the kernels; for n = 1 additionally the
     explicit kernel expansion, unitality, and the telescoping identity."""
-    rep = Report("poisson", n, cutoff)
     D = max(cutoff, 2)
     sp = poisson_space(n, D)
     L, Lb = build_L(n, D), build_Lbar(n, D)
@@ -160,13 +150,11 @@ def suite_poisson(n: int, cutoff: int) -> Report:
         if isinstance(r, Kernel):
             rep.truncated = rep.truncated or r.truncated
     _collect(rep, checks)
-    return rep
 
 
-def suite_p11(n: int, cutoff: int) -> Report:
+def suite_p11(rep: Report, n: int, cutoff: int):
     """The (1,1) component against its displayed form, up to one scalar,
     plus the classical limit pattern."""
-    rep = Report("p11", n, cutoff)
     D = max(cutoff, 2)
     P = poisson_kernel(n, D)
     rep.truncated = P.truncated
@@ -174,78 +162,72 @@ def suite_p11(n: int, cutoff: int) -> Report:
     c = match_up_to_scalar(p11, p11_formula_kernel(n, D))
     if c is None:
         rep.fail(["p11 does not match the displayed form up to one scalar"])
-        return rep
+        return
     rep.note = f"scalar={c.to_text()}"
     if c != p11_scalar(n):
         rep.fail(["p11 scalar differs from (1 - q^{2n})/(1 - q^2)"])
     if classical_kernel(p11.scale(c.inverse())) != classical_p11(n):
         rep.fail(["classical limit of p11 mismatches the known pattern"])
-    return rep
 
 
-def suite_hua_kernel(n: int, cutoff: int) -> Report:
-    rep = Report("hua-kernel", n, cutoff)
-    D = max(cutoff, 2)
-    P = poisson_kernel(n, D)
+def suite_hua_kernel(rep: Report, n: int, cutoff: int):
+    P = poisson_kernel(n, max(cutoff, 2))
     rep.truncated = P.truncated
-    for r in verify_hua_kernel(n, D, P=P):
-        _collect(rep, [(f"{r.system}:{k}", _AsResidual(v))
-                       for k, v in r.failures().items()])
-    # negative control: dropping the q^{2c} weights must break n >= 2
+    _collect(rep, [(f"{system}:{xy}", r)
+                   for (system, xy), r in verify_hua_kernel(P)])
+    # negative control: dropping the q^{2c} weights must break n >= 2,
+    # in system A and in system B
     if n >= 2:
-        controls = verify_hua_kernel(n, D, weighted=False, P=P)
-        if any(r.status == "PASS" for r in controls):
+        controls = verify_hua_kernel(P, weighted=False)
+        if any(all(r.is_zero() for (s, _), r in controls if s == system)
+               for system in "AB"):
             rep.fail(["negative control passed: weights are not being used"])
-    return rep
 
 
-class _AsResidual:
-    """Wrap an already-rendered residual string as a nonzero residual."""
-
-    def __init__(self, text):
-        self.text = text
-
-    def is_zero(self):
-        return False
-
-    def __str__(self):
-        return str(self.text)
-
-
-def suite_hua_theorem_n1(n: int, cutoff: int) -> Report:
-    rep = Report("hua-theorem-n1", n, cutoff)
+def suite_hua_theorem_n1(rep: Report, n: int, cutoff: int):
     if n != 1:
         rep.status = "SKIPPED"
         rep.note = "integral-level check is defined for n = 1"
-        return rep
+        return
     if cutoff < 3:
         rep.status = "SKIPPED"
         rep.note = "cutoff too small for length-2 generator words"
-        return rep
+        return
     fs = [N1Boundary.one(), N1Boundary.zeta(1), N1Boundary.zeta(2),
           N1Boundary.zeta(-1)]
-    r = verify_hua_theorem_n1(fs, generator_words(1, 2), cutoff)
-    rep.truncated = r.truncated
-    _collect(rep, [(k, _AsResidual(s)) for k, s in r.failures().items()])
-    return rep
+    xi_words = generator_words(1, 2)
+    rep.truncated = any(1 + len(xi) > cutoff for xi in xi_words)
+    _collect(rep, verify_hua_theorem_n1(fs, xi_words, cutoff))
 
 
-def suite_shilov_consistency(n: int, cutoff: int) -> Report:
+def suite_shilov_consistency(rep: Report, n: int, cutoff: int):
     """The Shilov relations hold identically after the GL_n star
     substitution, and the two n = 1 models agree on the reduction span."""
-    rep = Report("shilov-consistency", n, cutoff)
     _collect(rep, shilov_residuals_gl(n))
     alg = boundary_algebra(1)
     pairs = [alg.one(), alg.gen("zeta", 1, 1) * alg.gen("zetas", 1, 1),
              alg.gen("zetas", 1, 1) * alg.gen("zeta", 1, 1)]
-    bad = []
     for p in pairs:
         quotient = shilov_reduce(p)
         laurent = N1Boundary.from_boundary(p)
         if N1Boundary.from_boundary(quotient) != laurent:
-            bad.append((f"model-mismatch:{p}", _AsResidual(p)))
-    _collect(rep, bad)
-    return rep
+            rep.fail([f"model-mismatch:{p}"])
+
+
+def suite_limits(rep: Report, n: int, cutoff: int):
+    """Classical q -> 1 spot checks (the `limits` subcommand)."""
+    if classical_poly(y_element(n)) != classical_det_one_minus_zzstar(n):
+        rep.fail(["y vs det(1-zz*)"])
+    D = max(cutoff, 2)
+    if n <= 2:
+        p11 = poisson_kernel(n, D).first_component(1, 1)
+        c = match_up_to_scalar(p11, p11_formula_kernel(n, D))
+        if c is None or classical_kernel(p11.scale(c.inverse())) != classical_p11(n):
+            rep.fail(["classical p11"])
+    if n == 1:
+        u = poisson_integral_n1(poisson_kernel(1, D), N1Boundary.zeta(1))
+        if classical_kernel(u) != {(("z", 1, 1),): Fraction(1)}:
+            rep.fail(["classical Poisson of zeta"])
 
 
 _SUITES = {
@@ -260,38 +242,16 @@ _SUITES = {
     "hua-kernel": suite_hua_kernel,
     "hua-theorem-n1": suite_hua_theorem_n1,
     "shilov-consistency": suite_shilov_consistency,
+    "limits": suite_limits,
 }
 
 
 def run_suite(name: str, n: int, cutoff: int) -> Report:
+    """Run one suite on a fresh report, timed into ``wall_ms``."""
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}")
     start = time.monotonic()
-    rep = _SUITES[name](n, cutoff)
-    rep.wall_ms = int((time.monotonic() - start) * 1000)
-    return rep
-
-
-def suite_limits(n: int, cutoff: int) -> Report:
-    """Classical q -> 1 spot checks (the `limits` subcommand)."""
-    start = time.monotonic()
-    rep = Report("limits", n, cutoff)
-    bad = []
-    if classical_poly(y_element(n)) != classical_det_one_minus_zzstar(n):
-        bad.append(("y vs det(1-zz*)", _AsResidual("mismatch")))
-    D = max(cutoff, 2)
-    P = poisson_kernel(n, D) if n <= 2 else None
-    if P is not None:
-        p11 = P.first_component(1, 1)
-        c = match_up_to_scalar(p11, p11_formula_kernel(n, D))
-        if c is None or classical_kernel(p11.scale(c.inverse())) != classical_p11(n):
-            bad.append(("classical p11", _AsResidual("mismatch")))
-    if n == 1:
-        P1 = poisson_kernel(1, D)
-        u = poisson_integral_n1(P1, N1Boundary.zeta(1))
-        expect = {(("z", 1, 1),): Fraction(1)}
-        if classical_kernel(u) != expect:
-            bad.append(("classical Poisson of zeta", _AsResidual("mismatch")))
-    _collect(rep, bad)
+    rep = Report(name, n, cutoff)
+    _SUITES[name](rep, n, cutoff)
     rep.wall_ms = int((time.monotonic() - start) * 1000)
     return rep

@@ -1,4 +1,4 @@
-"""The U_q sl_2n side: generator actions, Leibniz extension, weights.
+"""The U_q sl_2n side: generator actions, Leibniz extension, soundness checks.
 
 Action tables assign to every algebra generator the value of E_i, F_i and
 the K_i^{+-1} eigenvalue, for i = 1..2n-1.  Words are acted on through the
@@ -177,10 +177,6 @@ def rect_tables(n: int) -> ActionTables:
     return tables_for(matrix_algebra(n, 2 * n), n)
 
 
-def square_tables(n: int) -> ActionTables:
-    return tables_for(matrix_algebra(2 * n, 2 * n), n)
-
-
 # ---------------------------------------------------------------------------
 # the action itself
 # ---------------------------------------------------------------------------
@@ -220,42 +216,6 @@ def act_expr(t: ActionTables, expr: list, p: NCPoly) -> NCPoly:
             cur = act(t, g, cur)
         return cur
     return t.alg.sum(apply(gens).scale(c) for c, gens in expr)
-
-
-# ---------------------------------------------------------------------------
-# weights and the H_0 grading
-# ---------------------------------------------------------------------------
-
-def word_weight(t: ActionTables, word: tuple) -> tuple:
-    """lambda_i read off the K_i eigenvalues (every monomial is a weight
-    vector)."""
-    out = []
-    for i in range(1, 2 * t.n):
-        c = t.k_word(i, word)
-        if not c.is_monomial() or c.num != (1,) or c.shift % 2:
-            raise ValueError("word is not a weight vector with integral weight")
-        out.append(c.shift // 2)
-    return tuple(out)
-
-
-def weight(t: ActionTables, p: NCPoly) -> tuple:
-    """Weight of a weight-homogeneous polynomial; error otherwise."""
-    weights = {word_weight(t, w) for w in p.terms}
-    if len(weights) != 1:
-        raise ValueError(f"not weight-homogeneous: {sorted(weights)}")
-    return weights.pop()
-
-
-def h0_grade(t: ActionTables, p: NCPoly) -> int:
-    """r with H_0 p = 2 r p, H_0 = sum_j j (H_j + H_{2n-j}) + n H_n."""
-    lam = weight(t, p)
-    n = t.n
-    val = n * lam[n - 1]
-    for j in range(1, n):
-        val += j * (lam[j - 1] + lam[2 * n - j - 1])
-    if val % 2:
-        raise ValueError("odd H_0 eigenvalue")
-    return val // 2
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +361,7 @@ def star_compat_residuals(t: ActionTables, words):
     sum (S(a'')* g*)(S(a')* f*).  Every a', a'' is 1 or a Chevalley
     generator, so the f for which it holds for every Chevalley a form a
     subalgebra (``star_poly`` is antimultiplicative, the ``star`` suite).
+    Returns [((g, w), residual)] for the pairs where it fails.
     """
     out = []
     for w in words:
@@ -410,5 +371,5 @@ def star_compat_residuals(t: ActionTables, words):
             lhs = star_poly(act(t, g, p))
             rhs = act_expr(t, star_of_antipode(g, t.n), ps)
             if lhs != rhs:
-                out.append((g, w, lhs - rhs))
+                out.append(((g, w), lhs - rhs))
     return out

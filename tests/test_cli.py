@@ -143,3 +143,50 @@ def test_cli_verify_all_runs_every_suite_and_builds_p_once(monkeypatch, tmp_path
     assert [entry["suite"] for entry in payload] == SUITE_NAMES
     assert [strip(entry) for entry in payload] == \
         [strip(run_suite(name, 1, 6).to_dict()) for name in SUITE_NAMES]
+
+
+def test_parse_error_paths():
+    with pytest.raises(ExprError, match="trailing input"):
+        parse_expr("z[1,1])", 1)
+    with pytest.raises(ExprError, match="zero denominator"):
+        parse_expr("1/0", 1)
+    with pytest.raises(ExprError, match="expected an atom"):
+        parse_expr("*", 1)
+    with pytest.raises(ValueError):
+        parse_expr("z[1,1]", 0)
+
+
+def test_parse_negative_power_of_a_polynomial_that_is_a_scalar():
+    tag, p = parse_expr("(z[1,1] - z[1,1] + 2)^-1", 1)
+    assert tag == "pol"
+    assert set(p.terms) == {()}
+    assert p.constant_term().eval_at(1) == 0.5
+
+
+def test_shilov_consistency_fails_on_a_wrong_model(monkeypatch):
+    reduce = suites.shilov_reduce
+    monkeypatch.setattr(suites, "shilov_reduce",
+                        lambda p: reduce(p).scale(qpow(1)))
+    rep = run_suite("shilov-consistency", 1, 2)
+    assert rep.status == "FAIL" and rep.residual_sample
+    assert all(label.startswith("model-mismatch:")
+               for label in rep.residual_sample)
+
+
+@pytest.mark.parametrize("oracle, label", [
+    ("classical_det_one_minus_zzstar", "y vs det(1-zz*)"),
+    ("classical_p11", "classical p11"),
+    ("Fraction", "classical Poisson of zeta"),   # the expected image of zeta
+])
+def test_limits_fails_on_a_corrupted_oracle(monkeypatch, tmp_path, oracle,
+                                            label):
+    original = getattr(suites, oracle)
+    if oracle == "Fraction":
+        monkeypatch.setattr(suites, oracle, lambda x: 2 * original(x))
+    else:
+        monkeypatch.setattr(suites, oracle, lambda n: {})
+    out_file = tmp_path / "limits.json"
+    assert main(["limits", "--n", "1", "--cutoff", "2",
+                 "--output", str(out_file)]) == 1
+    payload = json.loads(out_file.read_text())
+    assert payload["status"] == "FAIL" and label in payload["residual_sample"]

@@ -1,6 +1,6 @@
 import pytest
 
-from qball import suites
+from qball import hua, suites
 from qball.boundary import N1Boundary, shilov_reduce
 from qball.classical import classical_kernel, classical_p11
 from qball.hua import (d2_at_zero_kernel, generator_words, hua_sum_A,
@@ -8,6 +8,7 @@ from qball.hua import (d2_at_zero_kernel, generator_words, hua_sum_A,
                        p11_scalar, verify_hua_kernel, verify_hua_theorem_n1)
 from qball.kernels import poisson_kernel, poisson_space
 from qball.scalars import ONE, qpow
+from qball.suites import run_suite
 
 
 def _first_leg(poly, cutoff=4):
@@ -56,15 +57,15 @@ def test_hua_sums_trivial_and_negative_control():
 @pytest.mark.parametrize("n", [1, 2])
 def test_hua_kernel_systems_pass(n):
     cutoff = 4 if n == 1 else 2
-    reports = verify_hua_kernel(n, cutoff)
-    assert [r.system for r in reports] == ["A", "B"]
-    for r in reports:
-        assert r.status == "PASS", r.failures()
+    res = verify_hua_kernel(poisson_kernel(n, cutoff))
+    assert [system for (system, _), _ in res] == ["A"] * n * n + ["B"] * n * n
+    assert all(r.is_zero() for _, r in res), res
 
 
 def test_hua_kernel_negative_control_unweighted():
-    reports = verify_hua_kernel(2, 2, weighted=False)
-    assert all(r.status == "FAIL" for r in reports)
+    res = verify_hua_kernel(poisson_kernel(2, 2), weighted=False)
+    for system in "AB":
+        assert any(not r.is_zero() for (s, _), r in res if s == system)
 
 
 def test_intermediate_display_before_reduction():
@@ -95,9 +96,11 @@ def test_hua_theorem_n1_full_family():
           N1Boundary.zeta(-1)]
     words = generator_words(1, 2)
     assert len(words) == 21
-    rep = verify_hua_theorem_n1(fs, words, 4)
-    assert rep.status == "PASS", rep.failures()
-    assert not rep.truncated
+    res = verify_hua_theorem_n1(fs, words, 4)
+    assert len(res) == len(fs) * len(words) * 2
+    assert all(r.is_zero() for _, r in res), res
+    # the extraction reads components up to (1 + |xi|, 1 + |xi|) <= (3, 3)
+    assert not run_suite("hua-theorem-n1", 1, 4).truncated
 
 
 def test_p11_matches_displayed_form():
@@ -112,11 +115,11 @@ def test_p11_matches_displayed_form():
 
 
 def test_suite_p11_fails_on_a_wrong_scalar(monkeypatch):
-    assert suites.suite_p11(1, 2).status == "PASS"
+    assert run_suite("p11", 1, 2).status == "PASS"
     formula = suites.p11_formula_kernel
     monkeypatch.setattr(suites, "p11_formula_kernel",
                         lambda n, cutoff: formula(n, cutoff).scale(qpow(1)))
-    rep = suites.suite_p11(1, 2)
+    rep = run_suite("p11", 1, 2)
     assert rep.status == "FAIL" and rep.note == "scalar=q^-1"
 
 
@@ -127,3 +130,38 @@ def test_match_up_to_scalar_rejects_mismatch():
     wrong = p11_formula_kernel(n, 2) + sp.from_pair(
         sp.leg1.alg.gen("z", 1, 1), sp.leg2.alg.one())
     assert match_up_to_scalar(P.first_component(1, 1), wrong) is None
+
+
+# -- the FAIL paths of the Hua suites ------------------------------------------
+
+def test_hua_kernel_suite_passes_with_its_negative_control():
+    # at n >= 2 the suite also runs the unweighted sums, which must fail
+    rep = run_suite("hua-kernel", 2, 2)
+    assert rep.status == "PASS" and rep.residual_count == 0
+
+
+def test_hua_kernel_suite_fails_without_the_shilov_reduction(monkeypatch):
+    monkeypatch.setattr(hua, "shilov_reduce", lambda p: p)
+    rep = run_suite("hua-kernel", 2, 2)
+    assert rep.status == "FAIL"
+    assert rep.residual_sample == [f"{s}:{(x, y)}" for s in "AB"
+                                   for x in (1, 2) for y in (1, 2)]
+
+
+def test_hua_kernel_suite_fails_when_the_control_is_weighted(monkeypatch):
+    monkeypatch.setattr(hua, "_weights", lambda n, weighted:
+                        [qpow(2 * c) for c in range(1, n + 1)])
+    rep = run_suite("hua-kernel", 2, 2)
+    assert rep.status == "FAIL"
+    assert rep.residual_sample == [
+        "negative control passed: weights are not being used"]
+
+
+def test_hua_theorem_suite_fails_on_a_broken_sum(monkeypatch):
+    sum_A = hua.hua_sum_A
+    monkeypatch.setattr(hua, "hua_sum_A", lambda u, *args, **kw:
+                        sum_A(u, *args, **kw) + u.space.leg2.alg.one())
+    rep = run_suite("hua-theorem-n1", 1, 3)
+    assert rep.status == "FAIL"
+    assert rep.residual_sample[0] == "(0, (), 'A')"
+    assert all(label.endswith("'A')") for label in rep.residual_sample)

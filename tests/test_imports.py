@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every top-level function and class of the package is used by some module.
 
-No linter is part of the toolchain, so this is the one check that catches
-an import left behind when the code using it is deleted.
+No linter is part of the toolchain, so these are the checks that catch an
+import or a helper left behind when the code using it is deleted.
 """
 
 import ast
@@ -45,3 +46,43 @@ def test_unused_import_finder():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# top-level definitions kept although no module of the package refers to
+# them, each with the reason
+UNREFERENCED_ALLOWED = {
+    "qmatrix.m_map": "independent reference for the Laplace splitting, "
+                     "used by test_m_map_laplace_cross_check_n2",
+}
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """"module.name" for every top-level function and class of the given
+    modules ({module: source}) that no module refers to by name or by
+    attribute, in module and definition order."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                used |= {alias.name for alias in node.names}
+    return [f"{mod}.{node.name}" for mod, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in used]
+
+
+def test_unreferenced_definition_finder():
+    sources = {"a": "def f():\n    return g()\n\ndef g():\n    pass\n\n"
+                    "class C:\n    pass\n",
+               "b": "from .a import f\n\ndef h():\n    return x.C\n"}
+    assert unreferenced_definitions(sources) == ["b.h"]
+
+
+def test_every_definition_is_referenced():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_definitions(sources) == sorted(UNREFERENCED_ALLOWED)

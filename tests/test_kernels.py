@@ -313,6 +313,19 @@ _POWER_SYMBOLS = {"T": (1, 0, -1, vpow(-1), None),
                   "TSinv": (0, -1, -1, None, -vpow(5))}
 
 
+def _leg_mul(ctx, e1: dict, e2: dict) -> dict:
+    """Product of leg elements {(a, b, word): coeff} with powers kept left:
+    a power block passes a word w on its left with q^{(a+b) sdeg(w)}."""
+    out: dict = {}
+    for (a1, b1, w1), c1 in e1.items():
+        s1 = ctx.sdeg(w1)
+        for (a2, b2, w2), c2 in e2.items():
+            c = c1 * c2 * qpow((a2 + b2) * s1)
+            add_terms(out, (((a1 + a2, b1 + b2, w), cw) for w, cw
+                            in ctx.alg.monomial(w1 + w2, c).terms.items()))
+    return out
+
+
 def _act_leg_by_symbols(ctx, g, a, b, word):
     """Reference: the Leibniz rule one symbol at a time, right to left,
     over t^a t*^b written out as |a| + |b| power symbols followed by the
@@ -346,13 +359,13 @@ def _act_leg_by_symbols(ctx, g, a, b, word):
         if image(head):
             scale = suffix_kinv if g.kind == "F" else ONE
             add_terms(new, ((key, c * scale) for key, c in
-                            kernels._leg_mul(ctx, image(head), suffix).items()))
+                            _leg_mul(ctx, image(head), suffix).items()))
         if res:
             scale = k_eig(head) if g.kind == "E" else ONE
             add_terms(new, ((key, c * scale) for key, c in
-                            kernels._leg_mul(ctx, unit(head), res).items()))
+                            _leg_mul(ctx, unit(head), res).items()))
         res = new
-        suffix = kernels._leg_mul(ctx, unit(head), suffix)
+        suffix = _leg_mul(ctx, unit(head), suffix)
         suffix_kinv = suffix_kinv * k_eig(head).inverse()
     return res
 

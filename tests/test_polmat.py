@@ -283,7 +283,7 @@ def test_gl_products_leave_reduction_to_the_sum(monkeypatch):
     assert tries == [] and prod.dpow == 2
     assert GLnElement.sum(n, [prod]) == prod
     tries.clear()
-    assert suites.suite_star(n, 1).status == "PASS"
+    assert suites.run_suite("star", n, 1).status == "PASS"
     assert all(r.is_zero() for _, r in shilov_residuals_gl(n))
     assert len(tries) <= 49 and sum(tries) <= 19
 

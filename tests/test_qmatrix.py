@@ -50,8 +50,9 @@ def test_qdet_is_central(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_laplace_expansion_both_orders(n):
-    r1, r2 = laplace_residuals(n)
-    assert r1.is_zero() and r2.is_zero()
+    res = laplace_residuals(n)
+    assert [label for label, _ in res] == ["direct-order", "reversed-order"]
+    assert all(r.is_zero() for _, r in res)
 
 
 def test_laplace_negative_control_wrong_sign():

@@ -2,14 +2,13 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from qball.algebras import pol_algebra, star_poly
-from qball.ncpoly import NCPoly
+from qball.algebras import matrix_algebra, pol_algebra, star_poly
 from qball.scalars import ONE, qpow, vpow
 from qball.uqact import (UqGen, act, act_expr, antipode, boundary_tables,
-                         chevalley_gens, h0_grade, module_algebra_residuals,
+                         chevalley_gens, module_algebra_residuals,
                          operator_relation_residuals, pol_tables, rect_tables,
-                         square_tables, star_compat_residuals,
-                         star_of_antipode, ustar, weight, word_weight)
+                         star_compat_residuals, star_of_antipode, tables_for,
+                         ustar)
 from qball.suites import run_suite
 
 
@@ -52,6 +51,10 @@ def test_action_annihilates_constants():
     assert act(t, UqGen("E", 1), one).is_zero()
     assert act(t, UqGen("F", 3), one).is_zero()
     assert act(t, UqGen("K", 2), one) == one
+
+
+def square_tables(n):
+    return tables_for(matrix_algebra(2 * n, 2 * n), n)
 
 
 @pytest.mark.parametrize("mk", [pol_tables, boundary_tables, rect_tables,
@@ -117,38 +120,6 @@ def test_star_compat_explicit_example():
     lhs = star_poly(act(t, UqGen("E", n), znn))
     rhs = act_expr(t, star_of_antipode(UqGen("E", n), n), star_poly(znn))
     assert lhs == rhs
-
-
-def test_weights_and_h0():
-    t1 = pol_tables(1)
-    z = t1.alg.gen("z", 1, 1)
-    assert weight(t1, z) == (2,)
-    assert h0_grade(t1, z) == 1
-    t2 = pol_tables(2)
-    z11 = t2.alg.gen("z", 1, 1)
-    assert weight(t2, z11) == (1, 0, 1)
-    assert h0_grade(t2, z11) == 1
-    assert weight(t2, t2.alg.one()) == (0, 0, 0)
-    assert h0_grade(t2, t2.alg.one()) == 0
-
-
-def test_weights_additive_under_multiplication():
-    t = pol_tables(2)
-    alg = t.alg
-    for w1 in [(0,), (3,), (0, 5)]:
-        for w2 in [(1,), (2, 6)]:
-            lam1 = word_weight(t, w1)
-            lam2 = word_weight(t, w2)
-            prod = NCPoly(alg, {w1: ONE}) * NCPoly(alg, {w2: ONE})
-            lam = weight(t, prod)
-            assert lam == tuple(x + y for x, y in zip(lam1, lam2))
-
-
-def test_weight_requires_homogeneity():
-    t = pol_tables(1)
-    p = t.alg.one() + t.alg.gen("z", 1, 1)
-    with pytest.raises(ValueError):
-        weight(t, p)
 
 
 def test_ustar_values():
