@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .parser import ExprError, parse_expr
 from .render import poly_text
@@ -21,6 +22,7 @@ from .suites import SUITE_NAMES, run_suite
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_SKIPPED = 0, 1, 2, 3
 
 
+@lru_cache(maxsize=None)
 def _build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qball",

@@ -25,6 +25,15 @@ multiplication by y never lowers the z-count or the z*-count of a word (see
 :func:`substitute_x_inverse`).  So in-box components of the Poisson kernel
 are exact.
 
+Products apply the box before ``normalize`` where that keeps the flag.
+For Wick words of bidegree (a, b) and (c, d), every term of the normal
+form of the product has bidegree at least (a + c - min(b, c),
+b + d - min(b, c)) (:func:`_wick_floor`), so a pair of terms whose bound
+leaves the box on either leg feeds only terms that would be dropped.
+``Kernel.__mul__`` skips such a pair when an operand is flagged already.
+With two unflagged operands it keeps every pair, so the flag still says
+exactly whether the full product has a nonzero term outside the box.
+
 ``Kernel`` is the one box-truncated element of the package; the n = 1
 Poisson integral is a kernel with empty second-leg words.  U_q acts across
 the legs by the coproduct (:meth:`Kernel.act`), and on one leg through
@@ -71,10 +80,6 @@ class LegContext:
         self.znn = alg.gen_code(zcls, n, n)
         self.zsnn = alg.gen_code(zcls + "s", n, n)
 
-    def sdeg(self, word: tuple) -> int:
-        j, k = bidegree(self.alg, word)
-        return j - k
-
 
 def _leg_k_eig(ctx: LegContext, i: int, a: int, b: int, word: tuple) -> VScalar:
     """K_i on t^a t*^b word; K_n t = q^-1 t, K_n t* = q t*, others fix both."""
@@ -96,8 +101,8 @@ def act_leg(ctx: LegContext, g: UqGen, a: int, b: int, word: tuple) -> dict:
         E_n t = q^{-1/2} t z_n^n,   F_n t* = q^{1/2} t* (z_n^n)*,
         E_n t* = 0,                 F_n t = 0,
 
-    and a power block passes a word w on its left with q^{(a+b) sdeg(w)}
-    (as in ``Kernel.__mul__``), so z_n^n t = q t z_n^n and
+    and a power block passes a word w of bidegree (j, k) on its left with
+    q^{(a+b)(j-k)} (as in ``Kernel.__mul__``), so z_n^n t = q t z_n^n and
     (z_n^n)* t* = q^-1 t* (z_n^n)*.
     Write E_n(t^a) = e_a t^a z_n^n and F_n(t*^b) = f_b t*^b (z_n^n)*.
     Splitting t^a = t t^{a-1} and t*^b = t* t*^{b-1}, with K_n(t) = q^-1
@@ -252,17 +257,30 @@ class Kernel:
     # -- multiplication: the op-convention lives here only -------------------
 
     def __mul__(self, other: "Kernel") -> "Kernel":
+        """The product by the rule of the module docstring, cut to the box.
+
+        A flagged product skips every pair whose first leg w2 w1 or second
+        leg u1 u2 lies outside the box by the bound of :func:`_wick_floor`:
+        all of its terms are ones ``Kernel.__init__`` would drop.  When
+        neither operand is flagged, every pair is kept, because out-of-box
+        terms of different pairs may cancel, and the constructor must see
+        them all to decide the flag exactly as for the full product.
+        """
         self._check(other)
         sp = self.space
-        acc: dict = {}
+        D = sp.cutoff
+        mono1, mono2 = sp.leg1.alg.monomial, sp.leg2.alg.monomial
         truncated = self.truncated or other.truncated
-        for (a1, b1, c1, d1, w1, u1), x1 in self.terms.items():
-            s_u1 = sp.leg2.sdeg(u1)
-            for (a2, b2, c2, d2, w2, u2), x2 in other.terms.items():
-                s_w2 = sp.leg1.sdeg(w2)
-                coeff = x1 * x2 * qpow((a1 + b1) * s_w2 + (c2 + d2) * s_u1)
-                first = sp.leg1.alg.monomial(w2 + w1, ONE)
-                second = sp.leg2.alg.monomial(u1 + u2, ONE)
+        acc: dict = {}
+        lhs, rhs = _with_bidegrees(self), _with_bidegrees(other)
+        for (a1, b1, c1, d1, w1, u1), x1, (j1, k1), (m1, n1) in lhs:
+            for (a2, b2, c2, d2, w2, u2), x2, (j2, k2), (m2, n2) in rhs:
+                if truncated and (max(_wick_floor(j2, k2, j1, k1)) > D
+                                  or max(_wick_floor(m1, n1, m2, n2)) > D):
+                    continue
+                coeff = x1 * x2 * qpow((a1 + b1) * (j2 - k2) + (c2 + d2) * (m1 - n1))
+                first = mono1(w2 + w1, ONE)
+                second = mono2(u1 + u2, ONE)
                 key_p = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
                 add_terms(acc, ((key_p + (wf, ws), coeff * cf * cs)
                                 for wf, cf in first.terms.items()
@@ -307,6 +325,28 @@ class Kernel:
         return Kernel(self.space,
                       {key: c for key, c in self.terms.items()
                        if bidegree(alg, key[4]) == (j, k)}, self.truncated)
+
+
+def _with_bidegrees(k: Kernel) -> list:
+    """The terms of k as (key, coeff, first-leg bidegree, second-leg bidegree)."""
+    alg1, alg2 = k.space.leg1.alg, k.space.leg2.alg
+    return [(key, c, bidegree(alg1, key[4]), bidegree(alg2, key[5]))
+            for key, c in k.terms.items()]
+
+
+def _wick_floor(a: int, b: int, c: int, d: int) -> tuple:
+    """Lower bound on the bidegree of every term of the normal form of
+    w w', for Wick words w of bidegree (a, b) and w' of bidegree (c, d).
+
+    A same-class rule keeps which positions hold a z and which a z*.  The
+    cross rule turns an adjacent z* z into z z* or deletes the pair.
+    Neither step gives a z a new z* on its left, and a deletion removes a z
+    that had one, so at most c pairs are deleted, the c letters of w' being
+    the only ones with a z* on their left at the start.  Likewise at most
+    b, counting the z* with a z on their right.
+    """
+    r = min(b, c)
+    return a + c - r, b + d - r
 
 
 def _power_text(name: str, e: int) -> str:

@@ -142,12 +142,17 @@ class _Parser:
                 sign = -1
             e = sign * self.take("int")[1]
             if isinstance(base, VScalar):
+                if e < 0 and base.is_zero():
+                    raise ExprError("inverse of zero", pos)
                 return base ** e
             if e >= 0:
                 return base ** e
             if set(base.terms) - {()}:
                 raise ExprError("negative power of a non-scalar", pos)
-            return base.alg.scalar(base.constant_term().inverse())
+            c = base.constant_term()
+            if c.is_zero():
+                raise ExprError("inverse of zero", pos)
+            return base.alg.scalar(c.inverse())
         return base
 
     def atom(self):

@@ -145,7 +145,12 @@ def test_cli_verify_all_runs_every_suite_and_builds_p_once(monkeypatch, tmp_path
         [strip(run_suite(name, 1, 6).to_dict()) for name in SUITE_NAMES]
 
 
-def test_parse_error_paths():
+def test_parse_error_paths(capsys):
+    for text in ("0^-1", "(q-q)^-1", "(z[1,1]-z[1,1])^-1"):
+        with pytest.raises(ExprError, match="inverse of zero"):
+            parse_expr(text, 1)
+        assert main(["normalize", "--n", "1", text]) == 2
+        assert capsys.readouterr().err.startswith("parse error: inverse of zero")
     with pytest.raises(ExprError, match="trailing input"):
         parse_expr("z[1,1])", 1)
     with pytest.raises(ExprError, match="zero denominator"):

@@ -5,15 +5,17 @@ from itertools import combinations_with_replacement
 import pytest
 
 from qball import kernels
-from qball.algebras import bidegree
+from qball.algebras import (STAR_CLASSES, bidegree, boundary_algebra,
+                            pol_algebra)
 from qball.boundary import N1Boundary
 from qball.kernels import (CutoffMismatchError, Kernel, PowerSignatureError,
                            act_leg, build_L, build_Lbar, check_invariant,
                            kinverse, poisson_integral_n1, poisson_kernel,
                            poisson_space, substitute_x_inverse)
-from qball.ncpoly import NCPoly, add_terms
+from qball.ncpoly import Algebra, NCPoly, add_terms
 from qball.polmat import y_element
 from qball.scalars import ONE, VScalar, qpow, vpow
+from qball.suites import run_suite
 from qball.uqact import UqGen, act, chevalley_gens
 
 
@@ -241,9 +243,11 @@ def test_y_element_is_balanced_and_q_normal(n):
 
 
 def _box_words(alg, D):
+    """Every Wick word of bidegree <= (D, D) of a star-pair algebra."""
     blocks = []
-    for cls in ("z", "zs"):
-        codes = [c for c, g in enumerate(alg.gens) if g.cls == cls]
+    for starred in (False, True):
+        codes = [c for c, g in enumerate(alg.gens)
+                 if (g.cls in STAR_CLASSES) == starred]
         blocks.append([w for r in range(D + 1)
                        for w in combinations_with_replacement(codes, r)])
     return [wz + ws for wz in blocks[0] for ws in blocks[1]]
@@ -261,6 +265,145 @@ def test_left_multiplication_by_y_never_lowers_either_count(n, D, nwords):
             for wp in alg.monomial(wy + w, cy).terms:
                 j, k = bidegree(alg, wp)
                 assert j >= c and k >= d, (wy, w, wp)
+
+
+def _word_pairs(alg, n):
+    """The pairs of the Wick-floor premise: the (4, 4) box squared at n = 1;
+    at n = 2 the (1, 1) box squared, and the (2, 2) box against each
+    generator on either side."""
+    if n == 1:
+        words = _box_words(alg, 4)
+        return [(w, u) for w in words for u in words]
+    small = _box_words(alg, 1)
+    gens = [(g,) for g in range(alg.ngens())]
+    return ([(w, u) for w in small for u in small]
+            + [p for w in _box_words(alg, 2) for g in gens for p in ((w, g), (g, w))])
+
+
+@pytest.mark.parametrize("n, npairs", [(1, 625), (2, 4225)])
+@pytest.mark.parametrize("algebra", [pol_algebra, boundary_algebra])
+def test_wick_product_terms_stay_above_the_floor(algebra, n, npairs):
+    # the premise of the pair skip in Kernel.__mul__: the normal form of
+    # w w' has bidegree >= (a + c - min(b, c), b + d - min(b, c))
+    alg = algebra(n)
+    pairs = _word_pairs(alg, n)
+    assert len(pairs) == npairs
+    for w, u in pairs:
+        lo = kernels._wick_floor(*bidegree(alg, w), *bidegree(alg, u))
+        for wp in alg.monomial(w + u, ONE).terms:
+            j, k = bidegree(alg, wp)
+            assert j >= lo[0] and k >= lo[1], (w, u, wp)
+
+
+def _kmul_reference(k1, k2):
+    """The product with every pair of terms normalised and the box applied
+    only by the constructor: the pair loop without the Wick floor."""
+    sp = k1.space
+    a1, a2 = sp.leg1.alg, sp.leg2.alg
+    acc: dict = {}
+    for (p1, r1, c1, d1, w1, u1), x1 in k1.terms.items():
+        j, k = bidegree(a2, u1)
+        for (p2, r2, c2, d2, w2, u2), x2 in k2.terms.items():
+            jj, kk = bidegree(a1, w2)
+            coeff = x1 * x2 * qpow((p1 + r1) * (jj - kk) + (c2 + d2) * (j - k))
+            first = a1.monomial(w2 + w1, ONE)
+            second = a2.monomial(u1 + u2, ONE)
+            key_p = (p1 + p2, r1 + r2, c1 + c2, d1 + d2)
+            add_terms(acc, ((key_p + (wf, ws), coeff * cf * cs)
+                            for wf, cf in first.terms.items()
+                            for ws, cs in second.terms.items()))
+    return Kernel(sp, acc, k1.truncated or k2.truncated)
+
+
+def test_pruned_product_bounds_each_leg_in_its_own_order():
+    # first leg w2 w1 = z z* . z and second leg u1 u2 = zeta zeta* . zeta
+    # each keep a (1 - q^2) term in the box, while w1 w2 and u2 u1 would not
+    sp = poisson_space(1, 1)
+    a1, a2 = sp.leg1.alg, sp.leg2.alg
+    z, zs = a1.gen_code("z", 1, 1), a1.gen_code("zs", 1, 1)
+    zeta, zetas = a2.gen_code("zeta", 1, 1), a2.gen_code("zetas", 1, 1)
+    k1 = sp.kernel({(0, 0, 0, 0, (z,), (zeta, zetas)): ONE}, truncated=True)
+    k2 = sp.kernel({(0, 0, 0, 0, (z, zs), (zeta,)): ONE}, truncated=True)
+    got = k1 * k2
+    assert got.terms == _kmul_reference(k1, k2).terms
+    assert got.terms[(0, 0, 0, 0, (z,), (zeta,))] == (ONE - qpow(2)) ** 2
+    assert (k2 * k1).is_zero() and (k2 * k1).truncated
+
+
+def _poisson_products(n, cutoff, monkeypatch):
+    """(left, right, product) for every distinct kernel product that the
+    poisson suite forms at (n, cutoff), and that the Poisson build forms
+    before its y-substitution (which forms none)."""
+    D = max(cutoff, 2)
+    products = {}
+    mul = Kernel.__mul__
+
+    def recorded(k1, k2):
+        out = mul(k1, k2)
+        products.setdefault((k1.truncated, frozenset(k1.terms.items()),
+                             k2.truncated, frozenset(k2.terms.items())),
+                            (k1, k2, out))
+        return out
+    monkeypatch.setattr(Kernel, "__mul__", recorded)
+    assert run_suite("poisson", n, cutoff).status == "PASS"
+    poisson_space(n, D).power_term(0, 0, n, n) * (
+        kinverse(build_Lbar(n, D), n) * kinverse(build_L(n, D), n))
+    monkeypatch.undo()
+    return list(products.values())
+
+
+def _one_term_per_bidegree(k):
+    """The first term of k, in sorted key order, for each pair of leg
+    bidegrees."""
+    legs = (k.space.leg1.alg, k.space.leg2.alg)
+    picked = {}
+    for key in sorted(k.terms, key=repr):
+        picked.setdefault(tuple(bidegree(a, w) for a, w in zip(legs, key[4:])), key)
+    return k.space.kernel({key: k.terms[key] for key in picked.values()})
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, 6), (2, 2), (3, 1)])
+def test_pruned_product_matches_the_full_pair_loop(n, cutoff, monkeypatch):
+    # a product above 10^5 pairs, only Lbar^3 (Lbar^-3 L^-3) at (3, 1) with
+    # 73 x 5329, is compared on one left term per leg bidegree: the full
+    # reference takes about 45 s there.  At n = 3, L and Lbar hold minors
+    # of degree 3 > D and are flagged from the start.
+    products = _poisson_products(n, cutoff, monkeypatch)
+    flags = {k1.truncated or k2.truncated for k1, k2, _ in products}
+    assert flags == ({True} if n == 3 else {False, True})
+    for k1, k2, got in products:
+        if len(k1.terms) * len(k2.terms) > 10 ** 5:
+            k1 = _one_term_per_bidegree(k1)
+            got = k1 * k2
+            assert len(k1.terms) > 1 and got.truncated
+        expect = _kmul_reference(k1, k2)
+        assert got.terms == expect.terms
+        assert got.truncated == expect.truncated
+
+
+def test_poisson_suite_largest_product_skips_pairs_outside_the_box(monkeypatch):
+    # at (2, 2) Lbar^2 (Lbar^-2 L^-2) has 17 x 289 pairs; 4080 of them can
+    # only land outside the box and never reach normalize
+    sp = poisson_space(2, 2)
+    mono, mul = Algebra.monomial, Kernel.__mul__
+    first_legs, sizes = [], {}
+
+    def counted(alg, word, coeff=ONE):
+        if alg is sp.leg1.alg:
+            first_legs.append(word)
+        return mono(alg, word, coeff)
+
+    def recorded(k1, k2):
+        first_legs.clear()
+        out = mul(k1, k2)
+        sizes[len(k1.terms), len(k2.terms)] = len(first_legs)
+        return out
+    monkeypatch.setattr(Algebra, "monomial", counted)
+    monkeypatch.setattr(Kernel, "__mul__", recorded)
+    run_suite("poisson", 2, 2)
+    monkeypatch.undo()
+    assert max(sizes, key=lambda s: s[0] * s[1]) == (17, 289)
+    assert sizes[17, 289] <= 833
 
 
 def test_poisson_kernel_n1_matches_example_expansion():
@@ -315,10 +458,12 @@ _POWER_SYMBOLS = {"T": (1, 0, -1, vpow(-1), None),
 
 def _leg_mul(ctx, e1: dict, e2: dict) -> dict:
     """Product of leg elements {(a, b, word): coeff} with powers kept left:
-    a power block passes a word w on its left with q^{(a+b) sdeg(w)}."""
+    a power block passes a word w of bidegree (j, k) on its left with
+    q^{(a+b)(j-k)}."""
     out: dict = {}
     for (a1, b1, w1), c1 in e1.items():
-        s1 = ctx.sdeg(w1)
+        j, k = bidegree(ctx.alg, w1)
+        s1 = j - k
         for (a2, b2, w2), c2 in e2.items():
             c = c1 * c2 * qpow((a2 + b2) * s1)
             add_terms(out, (((a1 + a2, b1 + b2, w), cw) for w, cw
