@@ -20,10 +20,11 @@ coordinate on either leg and raises the sticky ``truncated`` flag.  The
 pipeline orders products so that contributions to components inside the box
 never route through dropped terms.  Before the y-substitution, z-blocks only
 ever grow to the left of z*-blocks.  The substitution multiplies by y on the
-left one factor at a time and cuts after each, which is exact because left
-multiplication by y never lowers the z-count or the z*-count of a word (see
-:func:`substitute_x_inverse`).  So in-box components of the Poisson kernel
-are exact.
+left one factor at a time, splitting each product into a z-block and a
+z*-block by the q-normality of y, and skips the parts outside the box, which
+is exact because left multiplication by y never lowers the z-count or the
+z*-count of a word (see :func:`substitute_x_inverse`).  So in-box components
+of the Poisson kernel are exact.
 
 Products apply the box before ``normalize`` where that keeps the flag.
 For Wick words of bidegree (a, b) and (c, d), every term of the normal
@@ -451,53 +452,47 @@ def substitute_x_inverse(k: Kernel) -> Kernel:
     Sound because t^-1 t*^-1 is the image of y inside the localized algebra;
     afterwards every term has zero first-leg powers.
 
-    y^m is never formed.  Each first-leg word w1 is multiplied on the left
-    by y m times, and after every step the result u is cut to the cutoff
-    box D.  This gives the in-box part of y^m w1 exactly, by a bound:
+    y^m is never formed: each first-leg word w1 is multiplied on the left
+    by y m times.  y is q-normal (y z = q^2 z y, y z* = q^-2 z* y, checked
+    in the tests), so for a Wick word w = z^A z*^B
 
-    * every term of y (``y_element``) has balanced bidegree (j, j);
-    * a Wick word z^a z*^b times z^c z*^d has terms of bidegree
-      (a + c - r, b + d - r) with 0 <= r <= min(b, c), so a balanced left
-      factor (j, j) gives z-count >= max(j, c) and z*-count >= d: left
-      multiplication by y never lowers the z-count or the z*-count of
-      the right factor.
+        y w = q^{2|A|} z^A y z*^B = q^{2|A|} sum c_PQ (z^A z^P)(z*^Q z*^B)
 
-    So a term cut after one step could only feed terms outside the box at
-    later steps, and a term of y with z-count above D sends every word
-    outside the box; such y terms are skipped.  Each step is linear in u,
-    and y w is normalised and cut once per box word w (a dict local to the
-    call, since ``_raw_poisson`` already caches the whole build).
+    over the terms c_PQ z^P z*^Q of the full y.  Only same-class rules
+    rewrite a bracket, and they keep its class and length (checked in the
+    tests), so a y term gives only words of bidegree (|A| + |P|, |Q| + |B|),
+    Wick-normal as they stand.  A y term that puts either count above the
+    cutoff D is skipped before any normalization.  The counts never fall
+    below those of w, so a skipped word could only feed words outside the
+    box later, and each step keeps exactly the in-box part of y^i w1.
+    Bracket normal forms are memoised per word in a dict local to the call.
 
-    ``truncated`` is set when a cut drops a nonzero term, counting the
-    terms of a skipped y term.  That happens exactly when y^m w1 itself
-    has a nonzero term outside the box, which is what the flag means
-    elsewhere.  The reason is that y is q-normal (y z = q^2 z y and
-    y z* = q^-2 z* y, checked in the tests): for w1 = z^A z*^B of
-    bidegree (c, d), y w1 = q^{2c} z^A y z*^B, whose terms have bidegree
-    (c + j, d + j) for the (j, j) of y, the top one (c + n, d + n) being
-    +-q^{2c} z^A det_q(z) det_q(z)* z*^B != 0.  Hence y^m w1 leaves the
-    box exactly when max(c, d) + m n > D.  A cut at step i drops terms of
-    y w' for a word w' with max bidegree <= max(c, d) + i n, so then
-    max(c, d) + m n > D.  Conversely, if max(c, d) + m n > D, the first
-    step i with max(c, d) + (i + 1) n > D follows exact steps, so u still
-    holds the top term of y^i w1, and that cut drops a term.
+    ``truncated`` is set when a y term is skipped, which happens exactly
+    when y^m w1 has a nonzero term outside the box, what the flag means
+    elsewhere.  The terms of y have bidegree (j, j), j <= n, the top one
+    being +-det_q(z) det_q(z)*, so for w1 of bidegree (c, d) the top term
+    of y w1 is +-q^{2c} z^A det_q(z) det_q(z)* z*^B != 0 at (c + n, d + n),
+    and y^m w1 leaves the box exactly when max(c, d) + m n > D.  A word
+    reached after i steps has max bidegree <= max(c, d) + i n, and a skip
+    on it needs that plus n above D, so a skip implies max(c, d) + m n > D.
+    Conversely, the first step i with max(c, d) + (i + 1) n > D follows
+    steps that skip nothing, so it holds the top term of y^i w1 and skips
+    the top term of y on it.
     """
     sp = k.space
     alg = sp.leg1.alg
     D = sp.cutoff
-    y_terms = y_element(sp.n).terms
-    y_box = [(w, c) for w, c in y_terms.items() if bidegree(alg, w)[0] <= D]
-    skipped = len(y_box) < len(y_terms)
-    memo: dict = {}
+    y_terms = []
+    for w, c in y_element(sp.n).terms.items():
+        j = bidegree(alg, w)[0]
+        y_terms.append((w[:j], w[j:], c))
+    blocks: dict = {}
 
-    def y_times(w):
-        """(in-box part of y w, whether the cut dropped a nonzero term)."""
-        hit = memo.get(w)
+    def block(w):
+        """The terms of the normal form of a one-class word."""
+        hit = blocks.get(w)
         if hit is None:
-            prod = alg.sum(alg.monomial(wy + w, cy) for wy, cy in y_box)
-            box = {wp: cp for wp, cp in prod.terms.items()
-                   if max(bidegree(alg, wp)) <= D}
-            hit = memo[w] = (box, skipped or len(box) < len(prod.terms))
+            hit = blocks[w] = list(alg.monomial(w).terms.items())
         return hit
 
     acc: dict = {}
@@ -510,9 +505,17 @@ def substitute_x_inverse(k: Kernel) -> Kernel:
         for _ in range(-a):
             nxt: dict = {}
             for w, cw in u.items():
-                box, dropped = y_times(w)
-                truncated = truncated or dropped
-                add_terms(nxt, ((wp, cp * cw) for wp, cp in box.items()))
+                j = bidegree(alg, w)[0]
+                A, B = w[:j], w[j:]
+                cw = cw * qpow(2 * j)
+                for P, Q, cy in y_terms:
+                    if j + len(P) > D or len(Q) + len(B) > D:
+                        truncated = True
+                        continue
+                    cp = cw * cy
+                    add_terms(nxt, ((wz + ws, cp * cz * cs)
+                                    for wz, cz in block(A + P)
+                                    for ws, cs in block(Q + B)))
             u = nxt
         add_terms(acc, (((0, 0, c, d, wp, w2), cp) for wp, cp in u.items()))
     return Kernel(sp, acc, truncated)
@@ -530,13 +533,17 @@ def poisson_kernel(n: int, cutoff: int, normalized: bool = True) -> Kernel:
 
 
 @lru_cache(maxsize=None)
+def inverse_kernels(n: int, cutoff: int) -> tuple:
+    """(L^-n, Lbar^-n L^-n) at (n, cutoff), formed once for the Poisson
+    build and the ``poisson`` suite."""
+    Linv = kinverse(build_L(n, cutoff), n)
+    return Linv, kinverse(build_Lbar(n, cutoff), n) * Linv
+
+
+@lru_cache(maxsize=None)
 def _raw_poisson(n: int, cutoff: int) -> Kernel:
-    sp = poisson_space(n, cutoff)
-    L = build_L(n, cutoff)
-    Lb = build_Lbar(n, cutoff)
-    prod = kinverse(Lb, n) * kinverse(L, n)
-    pre = sp.power_term(0, 0, n, n)
-    praw = substitute_x_inverse(pre * prod)
+    pre = poisson_space(n, cutoff).power_term(0, 0, n, n)
+    praw = substitute_x_inverse(pre * inverse_kernels(n, cutoff)[1])
     if not praw.power_signature() <= {(0, 0, 0, 0)}:
         raise PowerSignatureError("Poisson kernel has residual powers")
     return praw

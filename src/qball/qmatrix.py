@@ -89,21 +89,6 @@ def laplace_residuals(n: int):
     return [("direct-order", s1 - det), ("reversed-order", s2 - det)]
 
 
-def m_map(n: int, p_top: NCPoly, p_bot: NCPoly) -> NCPoly:
-    """Multiply a top-rows element by a bottom-rows element inside
-    C[Mat_2n]_q, relabelling the second factor's rows to n+1..2n."""
-    rect = matrix_algebra(n, 2 * n)
-    if p_top.alg is not rect or p_bot.alg is not rect:
-        raise ValueError("m_map expects elements of the n x 2n algebra")
-    big = matrix_algebra(2 * n, 2 * n)
-
-    def relabel(p: NCPoly, shift: int) -> NCPoly:
-        return big.poly({tuple(big.gen_code("t", rect.gens[g].i + shift, rect.gens[g].j)
-                               for g in w): c for w, c in p.terms.items()})
-
-    return relabel(p_top, 0) * relabel(p_bot, n)
-
-
 def centrality_residuals(n: int, cls: str = "t"):
     """[det_q, g] for every generator of C[Mat_n]_q; all must vanish."""
     alg = matrix_algebra(n, n, cls)

@@ -19,8 +19,9 @@ from .classical import (classical_det_one_minus_zzstar, classical_kernel,
                         classical_p11, classical_poly)
 from .hua import (generator_words, match_up_to_scalar, p11_formula_kernel,
                   p11_scalar, verify_hua_kernel, verify_hua_theorem_n1)
-from .kernels import (Kernel, build_L, build_Lbar, check_invariant, kinverse,
-                      poisson_integral_n1, poisson_kernel, poisson_space)
+from .kernels import (Kernel, build_L, build_Lbar, check_invariant,
+                      inverse_kernels, kinverse, poisson_integral_n1,
+                      poisson_kernel, poisson_space)
 from .ncpoly import normalize, overlap_residuals
 from .polmat import GLnElement, shilov_residuals_gl, y_element
 from .qmatrix import centrality_residuals, laplace_residuals
@@ -119,14 +120,14 @@ def suite_poisson(rep: Report, n: int, cutoff: int):
     D = max(cutoff, 2)
     sp = poisson_space(n, D)
     L, Lb = build_L(n, D), build_Lbar(n, D)
-    Linv, Lbinv = kinverse(L, n), kinverse(Lb, n)
+    Linv, LbLinv = inverse_kernels(n, D)
     Ln, Lbn = sp.unit(), sp.unit()
     for _ in range(n):
         Ln, Lbn = Ln * L, Lbn * Lb
     checks = [("L^n L^-n - 1", Ln * Linv - sp.unit()),
               ("L^-n L^n - 1", Linv * Ln - sp.unit()),
               ("Lbar^n (Lbar^-n L^-n) L^n - 1",
-               Lbn * (Lbinv * Linv) * Ln - sp.unit())]
+               Lbn * LbLinv * Ln - sp.unit())]
     if n == 1:
         a1, a2 = sp.leg1.alg, sp.leg2.alg
         P_raw = poisson_kernel(1, D, normalized=False)

@@ -48,14 +48,6 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# top-level definitions kept although no module of the package refers to
-# them, each with the reason
-UNREFERENCED_ALLOWED = {
-    "qmatrix.m_map": "independent reference for the Laplace splitting, "
-                     "used by test_m_map_laplace_cross_check_n2",
-}
-
-
 def unreferenced_definitions(sources: dict) -> list:
     """"module.name" for every top-level function and class of the given
     modules ({module: source}) that no module refers to by name or by
@@ -85,4 +77,4 @@ def test_unreferenced_definition_finder():
 
 def test_every_definition_is_referenced():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert unreferenced_definitions(sources) == sorted(UNREFERENCED_ALLOWED)
+    assert unreferenced_definitions(sources) == []

@@ -186,12 +186,26 @@ def test_substitute_x_inverse(n):
         substitute_x_inverse(sp.power_term(-1, 0, 0, 0))
 
 
-def _substitute_by_y_power(k):
-    """Reference: form y^m untruncated, multiply, then cut with Kernel()."""
+def _substitute_by_y_power(k, cut_each_step=False):
+    """Reference: form y^m untruncated, multiply, then cut with Kernel().
+
+    With ``cut_each_step``, y^m w1 is formed one full factor of y at a
+    time and cut to the box after each: the in-box terms are the same,
+    because left multiplication by y never lowers either count (tested
+    below), but the flag is exact only for a kernel that is flagged
+    already."""
     sp = k.space
+    alg, D = sp.leg1.alg, sp.cutoff
+    y = y_element(sp.n)
     acc, truncated = {}, k.truncated
     for (a, b, c, d, w1, w2), coeff in k.terms.items():
-        prod = y_element(sp.n) ** -a * NCPoly(sp.leg1.alg, {w1: coeff})
+        if cut_each_step:
+            prod = NCPoly(alg, {w1: coeff})
+            for _ in range(-a):
+                prod = NCPoly(alg, {w: x for w, x in (y * prod).terms.items()
+                                    if max(bidegree(alg, w)) <= D})
+        else:
+            prod = y ** -a * NCPoly(alg, {w1: coeff})
         summand = Kernel(sp, {(0, 0, c, d, w, w2): cw for w, cw in prod.terms.items()})
         add_terms(acc, summand.terms.items())
         truncated = truncated or summand.truncated
@@ -212,8 +226,8 @@ def _hand_built(leaves_box: bool):
     return sp.kernel(terms)
 
 
-@pytest.mark.parametrize("case", ["pipeline-1-6", "pipeline-2-1",
-                                  "in-box", "leaves-box"])
+@pytest.mark.parametrize("case", ["pipeline-1-6", "pipeline-2-1", "pipeline-2-2",
+                                  "pipeline-3-1", "in-box", "leaves-box"])
 def test_substitute_x_inverse_matches_y_power_reference(case):
     if case.startswith("pipeline"):
         n, D = map(int, case.split("-")[1:])
@@ -222,7 +236,11 @@ def test_substitute_x_inverse_matches_y_power_reference(case):
     else:
         k = _hand_built(case == "leaves-box")
         assert not k.truncated
-    got, expect = substitute_x_inverse(k), _substitute_by_y_power(k)
+    # y^3 at n = 3 is out of reach in full (y^2 alone takes about 46 s);
+    # k is flagged there, so only the in-box terms need the reference
+    step = case == "pipeline-3-1"
+    assert k.truncated or not step
+    got, expect = substitute_x_inverse(k), _substitute_by_y_power(k, step)
     assert got.terms == expect.terms
     assert got.truncated == expect.truncated
     if not case.startswith("pipeline"):
@@ -240,6 +258,22 @@ def test_y_element_is_balanced_and_q_normal(n):
     for g in alg.gens:
         x = alg.gen(g.cls, g.i, g.j)
         assert y * x == (x * y).scale(qpow(2 if g.cls == "z" else -2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("algebra", [pol_algebra, boundary_algebra])
+def test_same_class_rules_keep_the_class_and_the_length(algebra, n):
+    # the premise of the block products in substitute_x_inverse: a
+    # two-letter word of one class is rewritten to words of that class
+    # and of length 2
+    alg = algebra(n)
+    pairs = [(g, h) for g in range(alg.ngens()) for h in range(g)
+             if alg.gens[g].cls == alg.gens[h].cls]
+    assert len(pairs) == n * n * (n * n - 1)
+    for g, h in pairs:
+        for _, w in alg.pair_rule(g, h):
+            assert len(w) == 2, (g, h, w)
+            assert all(alg.gens[x].cls == alg.gens[g].cls for x in w), (g, h, w)
 
 
 def _box_words(alg, D):
@@ -265,6 +299,32 @@ def test_left_multiplication_by_y_never_lowers_either_count(n, D, nwords):
             for wp in alg.monomial(wy + w, cy).terms:
                 j, k = bidegree(alg, wp)
                 assert j >= c and k >= d, (wy, w, wp)
+
+
+def _y_times_reference(y, D, w):
+    """Reference for one substitution step: y w normalised in full with
+    the y terms of z-count <= D, then cut to the box.  Returns the in-box
+    terms and whether anything was dropped, a skipped y term included."""
+    alg = y.alg
+    y_box = [(wy, cy) for wy, cy in y.terms.items() if bidegree(alg, wy)[0] <= D]
+    prod = alg.sum(alg.monomial(wy + w, cy) for wy, cy in y_box)
+    box = {wp: cp for wp, cp in prod.terms.items() if max(bidegree(alg, wp)) <= D}
+    return box, len(y_box) < len(y.terms) or len(box) < len(prod.terms)
+
+
+@pytest.mark.parametrize("n, D, flags", [(2, 2, {False, True}), (3, 1, {True})],
+                         ids=["2-2", "3-1"])
+def test_block_product_matches_the_full_product_cut_to_the_box(n, D, flags):
+    sp = poisson_space(n, D)
+    y = y_element(n)
+    seen = set()
+    for w in _box_words(sp.leg1.alg, D):
+        got = substitute_x_inverse(sp.kernel({(-1, -1, 0, 0, w, ()): ONE}))
+        box, dropped = _y_times_reference(y, D, w)
+        assert got.terms == {(0, 0, 0, 0, wp, ()): cp for wp, cp in box.items()}, w
+        assert got.truncated == dropped, w
+        seen.add(dropped)
+    assert seen == flags
 
 
 def _word_pairs(alg, n):
@@ -567,10 +627,29 @@ def _kernel_hash(P) -> str:
     (2, 2, "ffcc205a112a", 411),
     (2, 3, "94f9941a67a5", 3663),
     (3, 1, "2a66cfc790a3", 109),
+    (3, 2, "cc4889fdc719", 6473),
 ])
 def test_poisson_kernel_golden_hash(n, D, digest, terms):
     P = poisson_kernel(n, D)
-    assert (_kernel_hash(P), len(P.terms)) == (digest, terms)
+    assert (_kernel_hash(P), len(P.terms), P.truncated) == (digest, terms, True)
+
+
+def test_poisson_suite_and_build_share_the_inverse_kernels(monkeypatch):
+    # L^-n and Lbar^-n L^-n are formed once for the poisson suite and the
+    # build: 22 products at (2, 2), 21 of them with distinct operands
+    # (Lbar^n (Lbar^-n L^-n) equals L^-n in the box)
+    for cached in (kernels.inverse_kernels, kernels._raw_poisson,
+                   kernels._normalized_poisson):
+        cached.cache_clear()
+    calls = []
+    real = Kernel.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return real(self, other)
+    monkeypatch.setattr(Kernel, "__mul__", counted)
+    assert [run_suite(s, 2, 2).status for s in ("poisson", "p11")] == ["PASS"] * 2
+    assert len(calls) <= 22
 
 
 def test_poisson_cache_ignores_argument_spelling():

@@ -5,7 +5,7 @@ import pytest
 from qball.algebras import matrix_algebra
 from qball.ncpoly import NCPoly
 from qball.qmatrix import (centrality_residuals, l_pairs, laplace_residuals,
-                           m_map, qdet, qminor, subsets_k)
+                           qdet, qminor, subsets_k)
 from qball.scalars import ONE, neg_qpow, qpow
 
 
@@ -66,6 +66,22 @@ def test_laplace_negative_control_wrong_sign():
         ell = l_pairs(J, Jc)
         acc = acc + (qminor(alg, [2], Jc) * qminor(alg, [1], J)).scale(neg_qpow(ell))
     assert not (acc - det).is_zero()
+
+
+def m_map(n: int, p_top: NCPoly, p_bot: NCPoly) -> NCPoly:
+    """Multiply a top-rows element by a bottom-rows element inside
+    C[Mat_2n]_q, relabelling the second factor's rows to n+1..2n: an
+    independent reference for the Laplace splitting."""
+    rect = matrix_algebra(n, 2 * n)
+    if p_top.alg is not rect or p_bot.alg is not rect:
+        raise ValueError("m_map expects elements of the n x 2n algebra")
+    big = matrix_algebra(2 * n, 2 * n)
+
+    def relabel(p: NCPoly, shift: int) -> NCPoly:
+        return big.poly({tuple(big.gen_code("t", rect.gens[g].i + shift, rect.gens[g].j)
+                               for g in w): c for w, c in p.terms.items()})
+
+    return relabel(p_top, 0) * relabel(p_bot, n)
 
 
 def test_m_map_unit_and_n1_kernel():
