@@ -153,9 +153,6 @@ class KernelSpace:
         self.leg1 = leg1
         self.leg2 = leg2
 
-    def kernel(self, terms: dict | None = None, truncated: bool = False) -> "Kernel":
-        return Kernel(self, dict(terms or {}), truncated)
-
     def unit(self) -> "Kernel":
         return Kernel(self, {(0, 0, 0, 0, (), ()): ONE}, False)
 
@@ -183,7 +180,8 @@ class KernelSpace:
 
 def poisson_space(n: int, cutoff: int) -> KernelSpace:
     """The shared space at (n, cutoff): kernels are compatible only when
-    their spaces are the same object."""
+    their spaces are the same object.  ``_space`` is called positionally:
+    ``lru_cache`` caches ``f(n=1)`` and ``f(1)`` apart."""
     return _space(n, cutoff)
 
 

@@ -17,7 +17,8 @@ coefficients with zero values pruned eagerly, so equality is map equality.
 Every sum in the package, of polynomials, kernels or classical images, is
 accumulated into one dict by :func:`add_terms`, which adds ``(key, coeff)``
 pairs and drops a key as soon as its coefficient sums to zero;
-:meth:`Algebra.sum` builds a polynomial from many summands that way.
+:meth:`Algebra.sum` builds a polynomial from many summands that way, and
+:func:`normalize` rewrites a whole linear combination of words into one.
 Algebras and polynomials are immutable after construction; the pair-rule
 cache only sees idempotent inserts.
 """
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .scalars import VScalar, ZERO, ONE
 
-# generous per-normalisation guard against a non-terminating table
+# generous guard against a non-terminating table, per input word
 MAX_REWRITE_STEPS = 5_000_000
 
 
@@ -102,12 +103,12 @@ class Algebra:
 
     def monomial(self, word, coeff=ONE) -> "NCPoly":
         """Normal form of an arbitrary product of generator codes."""
-        return normalize(self, tuple(word), VScalar.coerce(coeff))
+        return normalize(self, ((tuple(word), VScalar.coerce(coeff)),))
 
     def poly(self, terms: dict) -> "NCPoly":
         """Polynomial from possibly non-normal words."""
-        return self.sum(normalize(self, tuple(word), VScalar.coerce(coeff))
-                        for word, coeff in terms.items())
+        return normalize(self, ((word, VScalar.coerce(coeff))
+                                for word, coeff in terms.items()))
 
     def sum(self, polys: Iterable["NCPoly"]) -> "NCPoly":
         """Sum of polynomials over this algebra, built as one dict."""
@@ -136,19 +137,26 @@ def add_terms(acc: dict, items: Iterable) -> dict:
     return acc
 
 
-def normalize(alg: Algebra, word: tuple, coeff: VScalar) -> "NCPoly":
-    """Rewrite ``coeff * word`` to normal form, left-most descent first.
+def normalize(alg: Algebra, terms: Iterable) -> "NCPoly":
+    """Normal form of a linear combination of ``(word, coeff)`` pairs with
+    ``VScalar`` coefficients, so a product is a single call.
 
-    The result does not depend on the order of the rewrites once the table
-    is confluent, which :func:`overlap_residuals` proves.
+    Every code is checked first.  The words are then rewritten in input
+    order, each left-most descent first, into one accumulator, with a budget
+    of ``MAX_REWRITE_STEPS`` per word.  By confluence, which
+    :func:`overlap_residuals` proves, the order does not change the result.
     """
-    for g in word:
-        if not 0 <= g < len(alg.gens):
-            raise UnknownGeneratorError(f"code {g} not in {alg.name}")
-    if coeff.is_zero():
-        return NCPoly(alg, {})
+    ngens = len(alg.gens)
+    pending = []
+    for w, c in terms:
+        for g in w:
+            if not 0 <= g < ngens:
+                raise UnknownGeneratorError(f"code {g} not in {alg.name}")
+        if not c.is_zero():
+            pending.append((c, w))
+    budget = MAX_REWRITE_STEPS * len(pending)
+    pending.reverse()
     acc: dict = {}
-    pending = [(coeff, word)]
     steps = 0
     while pending:
         c, w = pending.pop()
@@ -157,7 +165,7 @@ def normalize(alg: Algebra, word: tuple, coeff: VScalar) -> "NCPoly":
             add_terms(acc, ((w, c),))
             continue
         steps += 1
-        if steps > MAX_REWRITE_STEPS:
+        if steps > budget:
             raise RewriteLimitExceeded(
                 f"{alg.name}: rewrite budget exhausted (non-terminating table?)")
         head, tail = w[:pos], w[pos + 2:]
@@ -182,8 +190,8 @@ def overlap_residuals(alg: Algebra) -> list:
     """
     out = []
     for k, h, g in combinations(range(alg.ngens()), 3):
-        left = alg.sum(normalize(alg, w + (k,), c) for c, w in alg.pair_rule(g, h))
-        right = alg.sum(normalize(alg, (g,) + w, c) for c, w in alg.pair_rule(h, k))
+        left = normalize(alg, ((w + (k,), c) for c, w in alg.pair_rule(g, h)))
+        right = normalize(alg, (((g,) + w, c) for c, w in alg.pair_rule(h, k)))
         if left != right:
             out.append(((g, h, k), left - right))
     return out
@@ -218,11 +226,9 @@ class NCPoly:
         if isinstance(other, (int, VScalar)):
             return self.scale(other)
         self._check(other)
-        acc: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                add_terms(acc, normalize(self.alg, w1 + w2, c1 * c2).terms.items())
-        return NCPoly(self.alg, acc)
+        return normalize(self.alg, ((w1 + w2, c1 * c2)
+                                    for w1, c1 in self.terms.items()
+                                    for w2, c2 in other.terms.items()))
 
     def __rmul__(self, other) -> "NCPoly":
         if isinstance(other, (int, VScalar)):

@@ -47,19 +47,18 @@ def y_element(n: int) -> NCPoly:
 class GLnElement:
     """poly * det_q^{-dpow} with dpow >= 0.
 
-    The constructor and :meth:`sum` reduce, so that the polynomial part is
-    not divisible by det_q whenever dpow > 0.  A product keeps the
-    unreduced form: products are summed, and the sum reduces once.
-    Equality cross-multiplies, so it does not depend on reduction."""
+    The constructor stores what it is given; :meth:`sum` is the one place
+    that reduces, so that the polynomial part of a sum is not divisible by
+    det_q whenever dpow > 0.  A product keeps the unreduced form: products
+    are summed, and the sum reduces once.  Equality cross-multiplies, so it
+    does not depend on reduction."""
 
     __slots__ = ("n", "poly", "dpow")
 
-    def __init__(self, n: int, poly: NCPoly, dpow: int = 0, reduce: bool = True):
+    def __init__(self, n: int, poly: NCPoly, dpow: int = 0):
         self.n = n
         self.poly = poly
         self.dpow = dpow
-        if reduce:
-            self._reduce()
 
     @staticmethod
     def algebra(n: int) -> Algebra:
@@ -73,22 +72,12 @@ class GLnElement:
     def one(n: int) -> "GLnElement":
         return GLnElement(n, GLnElement.algebra(n).one())
 
-    def _reduce(self) -> None:
-        det = qdet(self.alg, self.n, cls="z")
-        while self.dpow > 0:
-            quo = divide_by_central(self.poly, det)
-            if quo is None:
-                return
-            self.poly = quo
-            self.dpow -= 1
-
     @property
     def alg(self) -> Algebra:
         return self.poly.alg
 
     def __mul__(self, other: "GLnElement") -> "GLnElement":
-        return GLnElement(self.n, self.poly * other.poly,
-                          self.dpow + other.dpow, reduce=False)
+        return GLnElement(self.n, self.poly * other.poly, self.dpow + other.dpow)
 
     @staticmethod
     def sum(n: int, elems: list) -> "GLnElement":
@@ -98,8 +87,13 @@ class GLnElement:
         alg = GLnElement.algebra(n)
         det = qdet(alg, n, cls="z")
         e = max((x.dpow for x in elems), default=0)
-        return GLnElement(n, alg.sum(x.poly * det ** (e - x.dpow)
-                                     for x in elems), e)
+        poly = alg.sum(x.poly * det ** (e - x.dpow) for x in elems)
+        while e > 0:
+            quo = divide_by_central(poly, det)
+            if quo is None:
+                break
+            poly, e = quo, e - 1
+        return GLnElement(n, poly, e)
 
     def __add__(self, other: "GLnElement") -> "GLnElement":
         return GLnElement.sum(self.n, [self, other])
@@ -108,7 +102,7 @@ class GLnElement:
         return self + other.scale(VScalar.from_int(-1))
 
     def scale(self, c) -> "GLnElement":
-        return GLnElement(self.n, self.poly.scale(c), self.dpow, reduce=False)
+        return GLnElement(self.n, self.poly.scale(c), self.dpow)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GLnElement):
@@ -124,7 +118,7 @@ class GLnElement:
         """The C[GL_n]_q involution, extended antimultiplicatively."""
         terms = []
         for w, c in self.poly.terms.items():
-            term = GLnElement(self.n, self.alg.scalar(c), 0, reduce=False)
+            term = GLnElement(self.n, self.alg.scalar(c))
             for g in reversed(w):
                 a, alpha = self.alg.gens[g].i, self.alg.gens[g].j
                 term = term * gl_star_gen(self.n, a, alpha)
@@ -135,6 +129,7 @@ class GLnElement:
             c = _det_star_scale(self.n)
             acc = acc.scale(c ** (-self.dpow))
             new_dpow = acc.dpow - self.dpow
+            # acc is reduced by the sum, and stays so at a lower power
             if new_dpow >= 0:
                 acc = GLnElement(self.n, acc.poly, new_dpow)
             else:
@@ -149,7 +144,7 @@ def gl_star_gen(n: int, a: int, alpha: int) -> GLnElement:
     rng = range(1, n + 1)
     minor = qminor(alg, [x for x in rng if x != a],
                    [x for x in rng if x != alpha], cls="z")
-    return GLnElement(n, minor.scale(neg_qpow(a + alpha - 2 * n)), 1, reduce=False)
+    return GLnElement(n, minor.scale(neg_qpow(a + alpha - 2 * n)), 1)
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,10 @@
 """Quantum minors, quantum determinants and the Laplace splitting.
 
 Minors carry the (-q)^{l(s)} sign convention, l(s) counting the inversions
-of the permutation.  The row-permuted sum is the constructor; the
-column-permuted sum is the same element and is kept as a cross-check.
+of the permutation.  The constructor permutes the columns against fixed
+rows: each of its words runs through the rows in increasing order, so it is
+already normal and building the minor rewrites nothing.  The row-permuted
+sum is the same element; the tests keep it as the cross-check.
 """
 
 from __future__ import annotations
@@ -19,12 +21,9 @@ def _inversions(perm: tuple) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
 
 
-def qminor(alg: Algebra, rows, cols, cls: str = "t", form: str = "row") -> NCPoly:
-    """The quantum minor over the given index sets.
-
-    ``form="row"`` permutes the row indices against fixed columns,
-    ``form="col"`` the columns against fixed rows; the two sums agree.
-    """
+def qminor(alg: Algebra, rows, cols, cls: str = "t") -> NCPoly:
+    """The quantum minor over the given index sets: the sum over column
+    permutations s of (-q)^{l(s)} t_{r_1 c_s(1)} ... t_{r_k c_s(k)}."""
     rows = tuple(sorted(rows))
     cols = tuple(sorted(cols))
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
@@ -34,12 +33,8 @@ def qminor(alg: Algebra, rows, cols, cls: str = "t", form: str = "row") -> NCPol
     k = len(rows)
     if k == 0:
         return alg.one()
-    if form not in ("row", "col"):
-        raise ValueError(f"unknown minor form {form!r}")
 
     def word(perm):
-        if form == "row":
-            return tuple(alg.gen_code(cls, rows[perm[t]], cols[t]) for t in range(k))
         return tuple(alg.gen_code(cls, rows[t], cols[perm[t]]) for t in range(k))
     return alg.poly({word(perm): neg_qpow(_inversions(perm))
                      for perm in permutations(range(k))})

@@ -78,12 +78,12 @@ def suite_star(rep: Report, n: int, cutoff: int):
     """
     alg = pol_algebra(n)
     G = range(alg.ngens())
-    gens = [normalize(alg, (g,), ONE) for g in G]
+    gens = [normalize(alg, [((g,), ONE)]) for g in G]
     stars = [star_poly(x) for x in gens]
     _collect(rep, [(f"star-involutive:{g}", star_poly(stars[g]) - gens[g])
                    for g in G])
     _collect(rep, [(f"star-antimult:{g},{h}",
-                    star_poly(normalize(alg, (g, h), ONE)) - stars[h] * stars[g])
+                    star_poly(normalize(alg, [((g, h), ONE)])) - stars[h] * stars[g])
                    for g in G for h in G])
     bad = []
     for a in range(1, n + 1):

@@ -10,9 +10,10 @@ module-algebra rules
 
 which encode the comultiplication Delta(E) = E x 1 + K x E and
 Delta(F) = F x K^{-1} + 1 x F.  Every generator is a weight vector, so the
-K-factors inside the recursion are plain scalars.  ``act_word`` is the one
-implementation of these rules: ``kernels.act_leg`` applies it to the Wick
-word of a kernel leg and adds only the closed forms for the power block.
+K-factors are plain scalars, and on a word the rules unroll into one sum
+over its letters.  ``act_word`` is the one implementation of these rules:
+``kernels.act_leg`` applies it to the Wick word of a kernel leg and adds
+only the closed forms for the power block.
 
 Tables exist for the z / z* algebras (and their zeta twins) and for the
 rectangular and square matrix algebras.  The action on starred letters is
@@ -33,7 +34,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebras import boundary_algebra, matrix_algebra, pol_algebra, star_poly
-from .ncpoly import Algebra, NCPoly
+from .ncpoly import Algebra, NCPoly, normalize
 from .scalars import ONE, VScalar, ZERO, qpow, vpow
 
 
@@ -182,26 +183,27 @@ def rect_tables(n: int) -> ActionTables:
 # ---------------------------------------------------------------------------
 
 def act_word(t: ActionTables, g: UqGen, word: tuple) -> NCPoly:
+    """``g`` on a word, by the Leibniz rules unrolled over its letters,
+    E(w) = sum_k K(w_<k) w_<k E(w_k) w_>k and
+    F(w) = sum_k w_<k F(w_k) K^-1(w_>k) w_>k, normalised in one call.
+    E walks left to right carrying K(w_<k), F right to left carrying
+    K(w_>k)."""
     alg = t.alg
     if g.kind in ("K", "Kinv"):
         return NCPoly(alg, {word: t.k_word(g.i, word, inv=g.kind == "Kinv")})
-    if not word:
-        return alg.zero()
-    head, rest = word[0], word[1:]
-    rest_poly = NCPoly(alg, {rest: ONE})
-    head_poly = NCPoly(alg, {(head,): ONE})
-    if g.kind == "E":
-        out = t.E[(g.i, head)] * rest_poly
-        tail = act_word(t, g, rest)
-        if not tail.is_zero():
-            out = out + (head_poly * tail).scale(t.K[(g.i, head)])
-        return out
-    # F
-    out = t.F[(g.i, head)].scale(t.k_word(g.i, rest, inv=True)) * rest_poly
-    tail = act_word(t, g, rest)
-    if not tail.is_zero():
-        out = out + head_poly * tail
-    return out
+    is_e = g.kind == "E"
+    table = t.E if is_e else t.F
+    positions = range(len(word)) if is_e else range(len(word) - 1, -1, -1)
+    k, terms = ONE, []
+    for pos in positions:
+        letter = word[pos]
+        value = table[(g.i, letter)].terms
+        if value:
+            s = k if is_e else k.inverse()
+            head, tail = word[:pos], word[pos + 1:]
+            terms += [(head + u + tail, s * c) for u, c in value.items()]
+        k = k * t.K[(g.i, letter)]
+    return normalize(alg, terms)
 
 
 def act(t: ActionTables, g: UqGen, p: NCPoly) -> NCPoly:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import pytest
@@ -36,7 +37,7 @@ def test_kmul_second_display_with_weights():
     sp = poisson_space(n, 3)
     a1, a2 = sp.leg1.alg, sp.leg2.alg
     tst = sp.power_term(0, 1, 1, 0)
-    acc = sp.kernel({})
+    acc = Kernel(sp, {})
     for a in range(1, n + 1):
         for al in range(1, n + 1):
             acc = acc + sp.from_pair(a1.gen("zs", a, al), a2.gen("zeta", a, al),
@@ -161,7 +162,7 @@ def test_kmul_associative_on_random_kernels():
                               for _ in range(rng.randint(0, 2))))
             terms[(a, rng.randint(-1, 1), rng.randint(-1, 1), rng.randint(-1, 1),
                    w1, w2)] = qpow(rng.randint(-1, 1))
-        return sp.kernel(terms)
+        return Kernel(sp, terms)
 
     for _ in range(30):
         k1, k2, k3 = rand_kernel(), rand_kernel(), rand_kernel()
@@ -189,24 +190,31 @@ def test_substitute_x_inverse(n):
 def _substitute_by_y_power(k, cut_each_step=False):
     """Reference: form y^m untruncated, multiply, then cut with Kernel().
 
-    With ``cut_each_step``, y^m w1 is formed one full factor of y at a
-    time and cut to the box after each: the in-box terms are the same,
-    because left multiplication by y never lowers either count (tested
-    below), but the flag is exact only for a kernel that is flagged
-    already."""
+    y^m is formed once per m and y^m w1 once per distinct (m, w1), then
+    scaled by each term's coefficient.  With ``cut_each_step``, y^m w1 is
+    formed one full factor of y at a time and cut to the box after each:
+    the in-box terms are the same, because left multiplication by y never
+    lowers either count (tested below), but the flag is exact only for a
+    kernel that is flagged already."""
     sp = k.space
     alg, D = sp.leg1.alg, sp.cutoff
     y = y_element(sp.n)
+    y_power = lru_cache(maxsize=None)(lambda m: y ** m)
+
+    @lru_cache(maxsize=None)
+    def times_y_power(m, w1):
+        prod = NCPoly(alg, {w1: ONE})
+        if not cut_each_step:
+            return y_power(m) * prod
+        for _ in range(m):
+            prod = NCPoly(alg, {w: x for w, x in (y * prod).terms.items()
+                                if max(bidegree(alg, w)) <= D})
+        return prod
+
     acc, truncated = {}, k.truncated
     for (a, b, c, d, w1, w2), coeff in k.terms.items():
-        if cut_each_step:
-            prod = NCPoly(alg, {w1: coeff})
-            for _ in range(-a):
-                prod = NCPoly(alg, {w: x for w, x in (y * prod).terms.items()
-                                    if max(bidegree(alg, w)) <= D})
-        else:
-            prod = y ** -a * NCPoly(alg, {w1: coeff})
-        summand = Kernel(sp, {(0, 0, c, d, w, w2): cw for w, cw in prod.terms.items()})
+        summand = Kernel(sp, {(0, 0, c, d, w, w2): coeff * cw
+                              for w, cw in times_y_power(-a, w1).terms.items()})
         add_terms(acc, summand.terms.items())
         truncated = truncated or summand.truncated
     return Kernel(sp, acc, truncated)
@@ -223,7 +231,7 @@ def _hand_built(leaves_box: bool):
              (0, 0, 0, 0, (a1.gen_code("z", 2, 1),), ()): qpow(-1)}
     if leaves_box:
         terms[(-2, -2, 0, 0, (z11,), ())] = ONE
-    return sp.kernel(terms)
+    return Kernel(sp, terms)
 
 
 @pytest.mark.parametrize("case", ["pipeline-1-6", "pipeline-2-1", "pipeline-2-2",
@@ -319,7 +327,7 @@ def test_block_product_matches_the_full_product_cut_to_the_box(n, D, flags):
     y = y_element(n)
     seen = set()
     for w in _box_words(sp.leg1.alg, D):
-        got = substitute_x_inverse(sp.kernel({(-1, -1, 0, 0, w, ()): ONE}))
+        got = substitute_x_inverse(Kernel(sp, {(-1, -1, 0, 0, w, ()): ONE}))
         box, dropped = _y_times_reference(y, D, w)
         assert got.terms == {(0, 0, 0, 0, wp, ()): cp for wp, cp in box.items()}, w
         assert got.truncated == dropped, w
@@ -382,8 +390,8 @@ def test_pruned_product_bounds_each_leg_in_its_own_order():
     a1, a2 = sp.leg1.alg, sp.leg2.alg
     z, zs = a1.gen_code("z", 1, 1), a1.gen_code("zs", 1, 1)
     zeta, zetas = a2.gen_code("zeta", 1, 1), a2.gen_code("zetas", 1, 1)
-    k1 = sp.kernel({(0, 0, 0, 0, (z,), (zeta, zetas)): ONE}, truncated=True)
-    k2 = sp.kernel({(0, 0, 0, 0, (z, zs), (zeta,)): ONE}, truncated=True)
+    k1 = Kernel(sp, {(0, 0, 0, 0, (z,), (zeta, zetas)): ONE}, truncated=True)
+    k2 = Kernel(sp, {(0, 0, 0, 0, (z, zs), (zeta,)): ONE}, truncated=True)
     got = k1 * k2
     assert got.terms == _kmul_reference(k1, k2).terms
     assert got.terms[(0, 0, 0, 0, (z,), (zeta,))] == (ONE - qpow(2)) ** 2
@@ -419,7 +427,7 @@ def _one_term_per_bidegree(k):
     picked = {}
     for key in sorted(k.terms, key=repr):
         picked.setdefault(tuple(bidegree(a, w) for a, w in zip(legs, key[4:])), key)
-    return k.space.kernel({key: k.terms[key] for key in picked.values()})
+    return Kernel(k.space, {key: k.terms[key] for key in picked.values()})
 
 
 @pytest.mark.parametrize("n, cutoff", [(1, 6), (2, 2), (3, 1)])
@@ -696,7 +704,7 @@ def test_kernel_space_sum():
     z = sp.from_pair(sp.leg1.alg.gen("z", 1, 1), sp.leg2.alg.one())
     assert sp.sum([sp.unit(), z, z.scale(-ONE)]) == sp.unit()
     assert sp.sum([]).is_zero()
-    flagged = sp.kernel({}, truncated=True)
+    flagged = Kernel(sp, {}, truncated=True)
     assert sp.sum([z, flagged]).truncated and not sp.sum([z]).truncated
     assert sp.sum([z], truncated=True).truncated
     with pytest.raises(CutoffMismatchError):

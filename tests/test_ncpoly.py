@@ -5,8 +5,10 @@ import pytest
 
 from qball.algebras import bidegree, boundary_algebra, matrix_algebra, pol_algebra
 from qball.kernels import poisson_space
-from qball.ncpoly import (Algebra, Generator, NCPoly, UnknownGeneratorError,
-                          add_terms, normalize, overlap_residuals)
+from qball import ncpoly
+from qball.ncpoly import (Algebra, Generator, NCPoly, RewriteLimitExceeded,
+                          UnknownGeneratorError, add_terms, normalize,
+                          overlap_residuals)
 from qball.scalars import ONE, qpow
 
 ALGEBRAS = lambda: [pol_algebra(1), pol_algebra(2),
@@ -46,7 +48,48 @@ def test_unknown_generator_raises():
     with pytest.raises(UnknownGeneratorError):
         alg.gen("z", 0, 1)
     with pytest.raises(UnknownGeneratorError):
-        normalize(alg, (99,), ONE)
+        normalize(alg, [((99,), ONE)])
+
+
+@pytest.mark.parametrize("alg", [pol_algebra(1), pol_algebra(2), boundary_algebra(1),
+                                 boundary_algebra(2), matrix_algebra(1, 2),
+                                 matrix_algebra(2, 4), matrix_algebra(4, 4)],
+                         ids=lambda a: a.name)
+def test_normalize_of_a_combination_is_the_sum_of_one_word_normal_forms(alg):
+    rng = random.Random(12)
+    for _ in range(20):
+        terms = [(_random_word(rng, alg, 5), qpow(rng.randint(-2, 2)))
+                 for _ in range(rng.randint(1, 6))]
+        terms.append(terms[0])  # a repeated word
+        expect = alg.sum(normalize(alg, [t]) for t in terms)
+        assert normalize(alg, terms) == expect
+        assert normalize(alg, iter(terms)) == expect
+        negated = [(w, -c) for w, c in terms]
+        rng.shuffle(negated)
+        assert normalize(alg, terms + negated).terms == {}
+    assert normalize(alg, []) == alg.zero()
+
+
+def test_normalize_checks_every_code_of_a_combination():
+    alg = pol_algebra(1)
+    good = ((0, 1), ONE)
+    for bad in [((2,), ONE), ((1, -1), ONE), ((0, 7), ONE - ONE)]:
+        for terms in ([bad, good], [good, bad], [good, bad, good]):
+            with pytest.raises(UnknownGeneratorError):
+                normalize(alg, terms)
+
+
+def test_rewrite_budget_is_per_input_word(monkeypatch):
+    # x1 x0 -> q x0 x1, so x1^a x0^b takes exactly a * b rewrites
+    q = qpow(1)
+    alg = Algebra("swap", [Generator("x", i, 0) for i in range(2)],
+                  lambda a, g, h: [(q, (0, 1))])
+    monkeypatch.setattr(ncpoly, "MAX_REWRITE_STEPS", 4)
+    fits = (1, 1, 0, 0)
+    got = normalize(alg, [(fits, ONE), ((1, 0), ONE), (fits, ONE)])
+    assert got.terms == {(0, 0, 1, 1): qpow(4) + qpow(4), (0, 1): q}
+    with pytest.raises(RewriteLimitExceeded):
+        normalize(alg, [((1, 1, 1, 0, 0), ONE)])
 
 
 def test_unit_and_centrality_of_det2():
@@ -89,7 +132,7 @@ def test_associativity_on_random_triples(alg):
     rng = random.Random(999)
     for _ in range(60):
         ps = [NCPoly(alg, {}) for _ in range(3)]
-        ps = [normalize(alg, _random_word(rng, alg, 3), qpow(rng.randint(-1, 1)))
+        ps = [normalize(alg, [(_random_word(rng, alg, 3), qpow(rng.randint(-1, 1)))])
               for _ in range(3)]
         p1, p2, p3 = ps
         assert (p1 * p2) * p3 == p1 * (p2 * p3)
@@ -100,7 +143,7 @@ def test_grading_components_sum_back():
     alg, one2 = sp.leg1.alg, sp.leg2.alg.one()
     rng = random.Random(31)
     for _ in range(50):
-        u = sp.from_pair(normalize(alg, _random_word(rng, alg, 6), ONE), one2)
+        u = sp.from_pair(alg.monomial(_random_word(rng, alg, 6)), one2)
         parts = {(j, k): u.first_component(j, k)
                  for j in range(7) for k in range(7)}
         for d, comp in parts.items():

@@ -198,8 +198,9 @@ def test_divide_by_central_det():
     p = det * alg.gen("z", 1, 2)
     assert divide_by_central(p, det) == alg.gen("z", 1, 2)
     assert divide_by_central(alg.gen("z", 1, 1), det) is None
-    # reduction inside the constructor cancels det * det^-1
-    e = GLnElement(n, p, 1)
+    # the constructor stores what it is given; the sum cancels det * det^-1
+    assert GLnElement(n, p, 1).dpow == 1
+    e = GLnElement.sum(n, [GLnElement(n, p, 1)])
     assert e.dpow == 0 and e.poly == alg.gen("z", 1, 2)
 
 
@@ -292,5 +293,5 @@ def test_gl_equality_by_cross_multiplication():
     n = 2
     alg = GLnElement.algebra(n)
     det = qdet(alg, n, cls="z")
-    a = GLnElement(n, det * det, 2, reduce=False)
+    a = GLnElement(n, det * det, 2)
     assert a == GLnElement.one(n)

@@ -1,11 +1,12 @@
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from qball.algebras import matrix_algebra, pol_algebra, star_poly
+from qball.ncpoly import NCPoly
 from qball.scalars import ONE, qpow, vpow
-from qball.uqact import (UqGen, act, act_expr, antipode, boundary_tables,
-                         chevalley_gens, module_algebra_residuals,
+from qball.uqact import (UqGen, act, act_expr, act_word, antipode,
+                         boundary_tables, chevalley_gens, module_algebra_residuals,
                          operator_relation_residuals, pol_tables, rect_tables,
                          star_compat_residuals, star_of_antipode, tables_for,
                          ustar)
@@ -37,6 +38,35 @@ def test_prop_action_values(n):
     # Leibniz: E_n (z_n^n)^2 = -q^{1/2}(1+q^2)(z_n^n)^3
     expect = (znn * znn * znn).scale(-vpow(1) * (ONE + qpow(2)))
     assert act(t, UqGen("E", n), znn * znn) == expect
+
+
+def _act_word_recursive(t, g, word):
+    """Reference: the Leibniz rules peeled off one letter at a time,
+    E(x w) = E(x) w + K(x) x E(w) and F(x w) = F(x) K^-1(w) w + x F(w)."""
+    alg = t.alg
+    if not word:
+        return alg.zero()
+    head, rest = word[0], word[1:]
+    rest_poly = NCPoly(alg, {rest: ONE})
+    head_poly = NCPoly(alg, {(head,): ONE})
+    tail = _act_word_recursive(t, g, rest)
+    if g.kind == "E":
+        return (t.E[(g.i, head)] * rest_poly
+                + (head_poly * tail).scale(t.K[(g.i, head)]))
+    return (t.F[(g.i, head)].scale(t.k_word(g.i, rest, inv=True)) * rest_poly
+            + head_poly * tail)
+
+
+@pytest.mark.parametrize("mk", [pol_tables, boundary_tables, rect_tables])
+@pytest.mark.parametrize("n", [1, 2])
+def test_flat_act_word_matches_the_recursive_reference(mk, n):
+    t = mk(n)
+    gens = [UqGen(kind, i) for i in range(1, 2 * n) for kind in ("E", "F")]
+    for length in range(4):
+        for word in product(range(t.alg.ngens()), repeat=length):
+            for g in gens:
+                expect = _act_word_recursive(t, g, word)
+                assert act_word(t, g, word) == expect, (g, word)
 
 
 def test_rectangular_action_value():
