@@ -142,9 +142,15 @@ def star_class(cls: str) -> str:
     return _STAR_OF[cls]
 
 
+@lru_cache(maxsize=None)
+def _star_flags(alg: Algebra) -> tuple:
+    """1 for each starred generator code of ``alg``, 0 for the others."""
+    return tuple(int(g.cls in STAR_CLASSES) for g in alg.gens)
+
+
 def bidegree(alg: Algebra, word: tuple) -> tuple:
     """(z-count, z*-count) of a word of a star-pair algebra."""
-    k = sum(1 for g in word if alg.gens[g].cls in STAR_CLASSES)
+    k = sum(map(_star_flags(alg).__getitem__, word))
     return (len(word) - k, k)
 
 

@@ -557,15 +557,30 @@ def _normalized_poisson(n: int, cutoff: int) -> Kernel:
 
 
 def poisson_integral_n1(P: Kernel, f: N1Boundary) -> Kernel:
-    """(id x nu)(P (1 x f)) for n = 1, in P's space with empty second legs."""
+    """(id x nu)(P (1 x f)) for n = 1, in P's space with empty second legs.
+
+    A second-leg word w2 = zeta^j zeta*^k is zeta^e with e = j - k in the
+    Laurent model, so by linearity of the integral a term c (w1 x w2)
+    contributes c nu(zeta^e f) to w1.  That integral depends on e alone,
+    and is formed once per distinct e.
+    """
     sp = P.space
     if sp.n != 1:
         raise ValueError("the integral model is implemented for n = 1")
     if not P.power_signature() <= {(0, 0, 0, 0)}:
         raise PowerSignatureError("kernel carries powers; integrate after "
                                   "the substitution")
-    acc: dict = {}
-    for (_, _, _, _, w1, w2), c in P.terms.items():
-        second = N1Boundary.from_boundary(NCPoly(sp.leg2.alg, {w2: c}))
-        add_terms(acc, (((0, 0, 0, 0, w1, ()), nu_n1(second * f)),))
+    alg2 = sp.leg2.alg
+    by_exponent: dict = {}
+
+    def integral(w2):
+        """nu(zeta^e f) for the exponent e of w2."""
+        j, k = bidegree(alg2, w2)
+        x = by_exponent.get(j - k)
+        if x is None:
+            x = by_exponent[j - k] = nu_n1(N1Boundary.zeta(j - k) * f)
+        return x
+
+    acc = add_terms({}, (((0, 0, 0, 0, w1, ()), c * integral(w2))
+                         for (_, _, _, _, w1, w2), c in P.terms.items()))
     return Kernel(sp, acc, P.truncated)

@@ -149,9 +149,20 @@ class VScalar:
         zeros, gcd(num, den) = 1, a content-free pair, a positive leading
         ``den``, and zero as ``(0, (), (1,))``.  Nothing checks this at run
         time, and a violation silently breaks equality and hashing.  The
-        only callers are ``from_int``, ``from_fraction``, ``__neg__``, the
-        ``den == (1,)`` fast path of ``__mul__``, ``vpow`` and the module
-        constants.
+        only callers, each with the reason its triple is canonical:
+
+        * ``from_int``, ``from_fraction``, ``vpow`` and the module
+          constants: a one-coefficient ``num`` over a positive ``den``
+          that a ``Fraction`` keeps coprime;
+        * ``__neg__``: negating ``num`` changes no clause;
+        * the unit-monomial path of ``__mul__``: multiplying by +-v^k only
+          adds k to the shift and may negate ``num``, which changes no
+          clause, true denominators included;
+        * the Laurent path of ``__mul__`` (both ``den == (1,)``): a product
+          of polynomials with nonzero constant terms keeps one, and over
+          ``den == (1,)`` the gcd and content clauses hold trivially;
+        * the Laurent path of ``__add__`` (both ``den == (1,)``): the sum is
+          stripped of zeros at both ends, and the low ones go to the shift.
         """
         if _canonical:
             self.shift, self.num, self.den = shift, num, den
@@ -195,11 +206,15 @@ class VScalar:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "VScalar":
-        other = VScalar.coerce(other)
-        if self.is_zero():
+        if not isinstance(other, VScalar):
+            other = VScalar.coerce(other)
+        a, b = self.num, other.num
+        if not a:
             return other
-        if other.is_zero():
+        if not b:
             return self
+        if self.den == (1,) == other.den:
+            return _laurent_add(self.shift, a, other.shift, b)
         m = min(self.shift, other.shift)
         a = _pmul(self.num, other.den)
         b = _pmul(other.num, self.den)
@@ -221,16 +236,23 @@ class VScalar:
         return VScalar.coerce(other) + (-self)
 
     def __mul__(self, other) -> "VScalar":
-        other = VScalar.coerce(other)
-        if self.is_zero() or other.is_zero():
+        if not isinstance(other, VScalar):
+            other = VScalar.coerce(other)
+        a, b = self.num, other.num
+        if not a or not b:
             return ZERO
-        # fast path: no true denominators, so no gcd or content work needed
-        # (a product of polynomials with nonzero constant terms keeps one)
+        shift = self.shift + other.shift
+        # fast paths, canonical as built (see __init__): a unit monomial
+        # +-v^k, then two Laurent polynomials; neither reaches the gcd code
+        if len(b) == 1 and (b[0] == 1 or b[0] == -1) and other.den == (1,):
+            return VScalar(shift, a if b[0] == 1 else _pneg(a), self.den,
+                           _canonical=True)
+        if len(a) == 1 and (a[0] == 1 or a[0] == -1) and self.den == (1,):
+            return VScalar(shift, b if a[0] == 1 else _pneg(b), other.den,
+                           _canonical=True)
         if self.den == (1,) == other.den:
-            return VScalar(self.shift + other.shift,
-                           _pmul(self.num, other.num), (1,), _canonical=True)
-        return VScalar(self.shift + other.shift,
-                       _pmul(self.num, other.num), _pmul(self.den, other.den))
+            return VScalar(shift, _pmul(a, b), (1,), _canonical=True)
+        return VScalar(shift, _pmul(a, b), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -312,6 +334,29 @@ def _pshift(a: tuple, k: int) -> tuple:
     if not a or k == 0:
         return a
     return (0,) * k + a
+
+
+def _laurent_add(s: int, a: tuple, t: int, b: tuple) -> VScalar:
+    """v^s a + v^t b for nonzero Laurent numerators a and b, canonical as
+    built: the shifts are aligned, and zeros are stripped at both ends."""
+    if s > t:
+        s, a, t, b = t, b, s, a
+    out = list(a)
+    off = t - s
+    gap = off + len(b) - len(out)
+    if gap > 0:
+        out += [0] * gap
+    for i, y in enumerate(b, off):
+        out[i] += y
+    while out and out[-1] == 0:
+        out.pop()
+    if not out:
+        return ZERO
+    i = 0
+    while out[i] == 0:
+        i += 1
+    return VScalar(s + i, tuple(out[i:]) if i else tuple(out), (1,),
+                   _canonical=True)
 
 
 def _canonicalise(shift: int, num, den):

@@ -187,7 +187,8 @@ def act_word(t: ActionTables, g: UqGen, word: tuple) -> NCPoly:
     E(w) = sum_k K(w_<k) w_<k E(w_k) w_>k and
     F(w) = sum_k w_<k F(w_k) K^-1(w_>k) w_>k, normalised in one call.
     E walks left to right carrying K(w_<k), F right to left carrying
-    K(w_>k)."""
+    K(w_>k).  A word on which ``g`` kills every letter gives zero without
+    a ``normalize`` call."""
     alg = t.alg
     if g.kind in ("K", "Kinv"):
         return NCPoly(alg, {word: t.k_word(g.i, word, inv=g.kind == "Kinv")})
@@ -203,6 +204,8 @@ def act_word(t: ActionTables, g: UqGen, word: tuple) -> NCPoly:
             head, tail = word[:pos], word[pos + 1:]
             terms += [(head + u + tail, s * c) for u, c in value.items()]
         k = k * t.K[(g.i, letter)]
+    if not terms:
+        return alg.zero()
     return normalize(alg, terms)
 
 

@@ -1,14 +1,14 @@
 import hashlib
 import random
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from qball import kernels
 from qball.algebras import (STAR_CLASSES, bidegree, boundary_algebra,
                             pol_algebra)
-from qball.boundary import N1Boundary
+from qball.boundary import N1Boundary, nu_n1
 from qball.kernels import (CutoffMismatchError, Kernel, PowerSignatureError,
                            act_leg, build_L, build_Lbar, check_invariant,
                            kinverse, poisson_integral_n1, poisson_kernel,
@@ -284,6 +284,17 @@ def test_same_class_rules_keep_the_class_and_the_length(algebra, n):
             assert all(alg.gens[x].cls == alg.gens[g].cls for x in w), (g, h, w)
 
 
+@pytest.mark.parametrize("algebra, n", [(pol_algebra, 1), (pol_algebra, 2),
+                                        (boundary_algebra, 2)])
+def test_bidegree_is_the_count_of_each_letter_class(algebra, n):
+    # every word of length <= 4, in Wick order or not
+    alg = algebra(n)
+    for length in range(5):
+        for w in product(range(alg.ngens()), repeat=length):
+            k = sum(1 for g in w if alg.gens[g].cls in STAR_CLASSES)
+            assert bidegree(alg, w) == (length - k, k), w
+
+
 def _box_words(alg, D):
     """Every Wick word of bidegree <= (D, D) of a star-pair algebra."""
     blocks = []
@@ -511,6 +522,27 @@ def test_poisson_integral_basics():
         poisson_integral_n1(sp.power_term(0, 0, 1, 1), N1Boundary.one())
     with pytest.raises(ValueError):
         poisson_integral_n1(poisson_kernel(2, 2), N1Boundary.one())
+
+
+def _integral_term_by_term(P, f):
+    """Reference for poisson_integral_n1: each term's second leg goes to
+    the Laurent model on its own and is multiplied by f there."""
+    sp = P.space
+    acc: dict = {}
+    for (_, _, _, _, w1, w2), c in P.terms.items():
+        second = N1Boundary.from_boundary(NCPoly(sp.leg2.alg, {w2: c}))
+        add_terms(acc, (((0, 0, 0, 0, w1, ()), nu_n1(second * f)),))
+    return Kernel(sp, acc, P.truncated)
+
+
+@pytest.mark.parametrize("D", [6, 24])
+def test_poisson_integral_matches_the_term_by_term_reference(D):
+    P = poisson_kernel(1, D)
+    for f in (N1Boundary.one(), N1Boundary.zeta(1), N1Boundary.zeta(2),
+              N1Boundary.zeta(-1), N1Boundary({2: qpow(1), 0: vpow(1), -1: 1})):
+        got, expect = poisson_integral_n1(P, f), _integral_term_by_term(P, f)
+        assert got.terms and got.terms == expect.terms, f
+        assert got.truncated == expect.truncated == P.truncated
 
 
 # -- the U_q action on one leg ------------------------------------------------

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qball import scalars
 from qball.scalars import (ONE, PoleError, Q, V, VScalar, ZERO, neg_qpow,
                            qpow, vpow)
 
@@ -83,6 +84,65 @@ def test_canonical_constructors_and_fast_paths():
             assert_canonical(a * b)
     for x in (2 * Q, Q * V, V * V, V ** 2, Q ** 3, (-V) ** 5):
         assert_canonical(x)
+
+
+def _conv(a, b):
+    """Product of integer coefficient tuples, low degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _grid():
+    """v^s num / den over a finite grid, each built by the general route;
+    (1, 1) and (1, 0, 1) are true denominators, and some pairs reduce."""
+    nums = [(1,), (-1,), (2,), (1, 1), (-1, 0, 1), (1, -2, 1)]
+    dens = [(1,), (1, 1), (1, 0, 1)]
+    return [VScalar(s, n, d) for s in range(-3, 4) for n in nums for d in dens]
+
+
+def test_products_and_sums_match_the_general_route_on_a_grid():
+    # every pair of the grid, so every fast path of __mul__ and __add__
+    # (unit monomial, Laurent, and neither) meets every kind of operand;
+    # the reference is the unreduced triple through _canonicalise
+    grid = _grid()
+    for a in grid:
+        for b in grid:
+            den = _conv(a.den, b.den)
+            m = min(a.shift, b.shift)
+            pa = (0,) * (a.shift - m) + _conv(a.num, b.den)
+            pb = (0,) * (b.shift - m) + _conv(b.num, a.den)
+            width = max(len(pa), len(pb))
+            total = tuple(x + y for x, y in zip(pa + (0,) * (width - len(pa)),
+                                                pb + (0,) * (width - len(pb))))
+            for got, want in (
+                    (a * b, VScalar(a.shift + b.shift, _conv(a.num, b.num), den)),
+                    (a + b, VScalar(m, total, den))):
+                assert ((got.shift, got.num, got.den)
+                        == (want.shift, want.num, want.den)), (a, b)
+                assert_canonical(got)
+
+
+def test_laurent_and_unit_monomial_operands_skip_the_gcd_route(monkeypatch):
+    grid = _grid()
+    laurent = [x for x in grid if x.den == (1,)]
+    units = [x for x in laurent if x.num in ((1,), (-1,))]
+
+    def general_route(*args):
+        raise AssertionError("reached _canonicalise")
+
+    monkeypatch.setattr(scalars, "_canonicalise", general_route)
+    for a in laurent:
+        for b in laurent:
+            a * b, a + b, a - b
+    for u in units:
+        for x in grid:
+            u * x, x * u
+    fraction = next(x for x in grid if x.den != (1,))
+    with pytest.raises(AssertionError, match="_canonicalise"):
+        fraction + fraction
 
 
 def test_constants_match_the_power_helpers():

@@ -2,6 +2,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from qball import uqact
 from qball.algebras import matrix_algebra, pol_algebra, star_poly
 from qball.ncpoly import NCPoly
 from qball.scalars import ONE, qpow, vpow
@@ -67,6 +68,27 @@ def test_flat_act_word_matches_the_recursive_reference(mk, n):
             for g in gens:
                 expect = _act_word_recursive(t, g, word)
                 assert act_word(t, g, word) == expect, (g, word)
+
+
+def test_act_word_normalizes_only_when_a_letter_is_acted_on(monkeypatch):
+    t = pol_tables(2)
+    calls = []
+    real = uqact.normalize
+    monkeypatch.setattr(uqact, "normalize",
+                        lambda alg, terms: calls.append(alg) or real(alg, terms))
+    gens = [UqGen(kind, i) for i in range(1, 4) for kind in ("E", "F")]
+    killed = 0
+    for word in product(range(t.alg.ngens()), repeat=2):
+        for g in gens:
+            table = t.E if g.kind == "E" else t.F
+            acted = any(table[(g.i, x)].terms for x in word)
+            before = len(calls)
+            out = act_word(t, g, word)
+            assert len(calls) - before == acted, (g, word)
+            if not acted:
+                killed += 1
+                assert out == t.alg.zero()
+    assert killed
 
 
 def test_rectangular_action_value():
