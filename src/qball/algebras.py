@@ -148,8 +148,11 @@ def _star_flags(alg: Algebra) -> tuple:
     return tuple(int(g.cls in STAR_CLASSES) for g in alg.gens)
 
 
+@lru_cache(maxsize=None)
 def bidegree(alg: Algebra, word: tuple) -> tuple:
-    """(z-count, z*-count) of a word of a star-pair algebra."""
+    """(z-count, z*-count) of a word of a star-pair algebra.  Memoised:
+    algebras are immutable and words are tuples, and the kernel pipeline
+    asks for the same few words again and again."""
     k = sum(map(_star_flags(alg).__getitem__, word))
     return (len(word) - k, k)
 

@@ -31,9 +31,15 @@ For Wick words of bidegree (a, b) and (c, d), every term of the normal
 form of the product has bidegree at least (a + c - min(b, c),
 b + d - min(b, c)) (:func:`_wick_floor`), so a pair of terms whose bound
 leaves the box on either leg feeds only terms that would be dropped.
-``Kernel.__mul__`` skips such a pair when an operand is flagged already.
+``Kernel.__mul__`` groups each operand's terms by their four leg counts
+and skips such a pair of groups when an operand is flagged already.
 With two unflagged operands it keeps every pair, so the flag still says
 exactly whether the full product has a nonzero term outside the box.
+Within a kept pair, a leg product of two normal words whose junction is
+ordered (either word empty, or the last letter of the left word at most the
+first of the right) is its own normal form: normal words are the
+non-decreasing code tuples, and the concatenation is one, so it never
+reaches ``normalize`` (:func:`_leg_product`).
 
 ``Kernel`` is the one box-truncated element of the package; the n = 1
 Poisson integral is a kernel with empty second-leg words.  U_q acts across
@@ -258,32 +264,38 @@ class Kernel:
     def __mul__(self, other: "Kernel") -> "Kernel":
         """The product by the rule of the module docstring, cut to the box.
 
-        A flagged product skips every pair whose first leg w2 w1 or second
-        leg u1 u2 lies outside the box by the bound of :func:`_wick_floor`:
-        all of its terms are ones ``Kernel.__init__`` would drop.  When
-        neither operand is flagged, every pair is kept, because out-of-box
-        terms of different pairs may cancel, and the constructor must see
-        them all to decide the flag exactly as for the full product.
+        The terms are taken group by group (:func:`_leg_groups`): the Wick
+        floor and the bidegree part of the scalar
+        q^{(a1+b1)(j2-k2) + (c2+d2)(m1-n1)} depend only on the pair of
+        groups.  A flagged product skips every pair of groups whose first
+        leg w2 w1 or second leg u1 u2 lies outside the box by the bound of
+        :func:`_wick_floor`: all of its terms are ones ``Kernel.__init__``
+        would drop.  When neither operand is flagged, every pair is kept,
+        because out-of-box terms of different pairs may cancel, and the
+        constructor must see them all to decide the flag exactly as for the
+        full product.  Each leg product goes through :func:`_leg_product`,
+        which skips ``normalize`` at an ordered junction.
         """
         self._check(other)
         sp = self.space
         D = sp.cutoff
-        mono1, mono2 = sp.leg1.alg.monomial, sp.leg2.alg.monomial
+        alg1, alg2 = sp.leg1.alg, sp.leg2.alg
         truncated = self.truncated or other.truncated
         acc: dict = {}
-        lhs, rhs = _with_bidegrees(self), _with_bidegrees(other)
-        for (a1, b1, c1, d1, w1, u1), x1, (j1, k1), (m1, n1) in lhs:
-            for (a2, b2, c2, d2, w2, u2), x2, (j2, k2), (m2, n2) in rhs:
+        rhs = _leg_groups(other).items()
+        for (j1, k1, m1, n1), terms1 in _leg_groups(self).items():
+            for (j2, k2, m2, n2), terms2 in rhs:
                 if truncated and (max(_wick_floor(j2, k2, j1, k1)) > D
                                   or max(_wick_floor(m1, n1, m2, n2)) > D):
                     continue
-                coeff = x1 * x2 * qpow((a1 + b1) * (j2 - k2) + (c2 + d2) * (m1 - n1))
-                first = mono1(w2 + w1, ONE)
-                second = mono2(u1 + u2, ONE)
-                key_p = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
-                add_terms(acc, ((key_p + (wf, ws), coeff * cf * cs)
-                                for wf, cf in first.terms.items()
-                                for ws, cs in second.terms.items()))
+                e1, e2 = j2 - k2, m1 - n1
+                for (a1, b1, c1, d1, w1, u1), x1 in terms1:
+                    for (a2, b2, c2, d2, w2, u2), x2 in terms2:
+                        coeff = x1 * x2 * qpow((a1 + b1) * e1 + (c2 + d2) * e2)
+                        key_p = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
+                        for wf, cf in _leg_product(alg1, w2, w1, coeff):
+                            add_terms(acc, ((key_p + (wf, ws), cs) for ws, cs
+                                            in _leg_product(alg2, u1, u2, cf)))
         return Kernel(sp, acc, truncated)
 
     # -- the U_q action across the two legs -----------------------------------
@@ -326,11 +338,25 @@ class Kernel:
                        if bidegree(alg, key[4]) == (j, k)}, self.truncated)
 
 
-def _with_bidegrees(k: Kernel) -> list:
-    """The terms of k as (key, coeff, first-leg bidegree, second-leg bidegree)."""
+def _leg_groups(k: Kernel) -> dict:
+    """The terms of k grouped by their leg counts (j, k, m, n), (j, k) the
+    bidegree of the first-leg word and (m, n) that of the second:
+    {counts: [(key, coeff), ...]}."""
     alg1, alg2 = k.space.leg1.alg, k.space.leg2.alg
-    return [(key, c, bidegree(alg1, key[4]), bidegree(alg2, key[5]))
-            for key, c in k.terms.items()]
+    groups: dict = {}
+    for key, c in k.terms.items():
+        counts = bidegree(alg1, key[4]) + bidegree(alg2, key[5])
+        groups.setdefault(counts, []).append((key, c))
+    return groups
+
+
+def _leg_product(alg: Algebra, w: tuple, u: tuple, c: VScalar):
+    """The normal form of c w u for normal words w and u, as (word, coeff)
+    pairs.  Normal words are non-decreasing, so when either word is empty or
+    w[-1] <= u[0], w + u is normal as it stands and no rewrite applies."""
+    if not w or not u or w[-1] <= u[0]:
+        return ((w + u, c),)
+    return alg.monomial(w + u, c).terms.items()
 
 
 def _wick_floor(a: int, b: int, c: int, d: int) -> tuple:

@@ -163,6 +163,8 @@ class VScalar:
           ``den == (1,)`` the gcd and content clauses hold trivially;
         * the Laurent path of ``__add__`` (both ``den == (1,)``): the sum is
           stripped of zeros at both ends, and the low ones go to the shift.
+        * the unit-monomial path of ``inverse``: the inverse of +-v^k is
+          +-v^-k, the same ``num`` and ``den`` with the shift negated.
         """
         if _canonical:
             self.shift, self.num, self.den = shift, num, den
@@ -259,7 +261,11 @@ class VScalar:
     def inverse(self) -> "VScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(v)")
-        return VScalar(-self.shift, self.den, self.num)
+        num = self.num
+        # fast path, canonical as built (see __init__): (+-v^k)^-1 = +-v^-k
+        if len(num) == 1 and (num[0] == 1 or num[0] == -1) and self.den == (1,):
+            return VScalar(-self.shift, num, (1,), _canonical=True)
+        return VScalar(-self.shift, self.den, num)
 
     def __truediv__(self, other) -> "VScalar":
         return self * VScalar.coerce(other).inverse()

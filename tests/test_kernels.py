@@ -7,7 +7,7 @@ import pytest
 
 from qball import kernels
 from qball.algebras import (STAR_CLASSES, bidegree, boundary_algebra,
-                            pol_algebra)
+                            matrix_algebra, pol_algebra)
 from qball.boundary import N1Boundary, nu_n1
 from qball.kernels import (CutoffMismatchError, Kernel, PowerSignatureError,
                            act_leg, build_L, build_Lbar, check_invariant,
@@ -287,12 +287,23 @@ def test_same_class_rules_keep_the_class_and_the_length(algebra, n):
 @pytest.mark.parametrize("algebra, n", [(pol_algebra, 1), (pol_algebra, 2),
                                         (boundary_algebra, 2)])
 def test_bidegree_is_the_count_of_each_letter_class(algebra, n):
-    # every word of length <= 4, in Wick order or not
+    # every word of length <= 4, in Wick order or not, asked twice so the
+    # second answer comes from the cache
     alg = algebra(n)
     for length in range(5):
         for w in product(range(alg.ngens()), repeat=length):
             k = sum(1 for g in w if alg.gens[g].cls in STAR_CLASSES)
             assert bidegree(alg, w) == (length - k, k), w
+            assert bidegree(alg, w) == (length - k, k), w
+
+
+def test_bidegree_cache_is_keyed_by_the_algebra():
+    # codes 4..7 are the starred letters of Pol(Mat_2) but plain letters of
+    # Mat_{2x4}, which has no starred class
+    w = (0, 4, 7)
+    assert bidegree(pol_algebra(2), w) == (1, 2)
+    assert bidegree(matrix_algebra(2, 4), w) == (3, 0)
+    assert bidegree(pol_algebra(2), w) == (1, 2)
 
 
 def _box_words(alg, D):
@@ -374,6 +385,22 @@ def test_wick_product_terms_stay_above_the_floor(algebra, n, npairs):
             assert j >= lo[0] and k >= lo[1], (w, u, wp)
 
 
+@pytest.mark.parametrize("n, D, nordered", [(1, 4, 225), (2, 2, 3195),
+                                             (3, 1, 1180)])
+@pytest.mark.parametrize("algebra", [pol_algebra, boundary_algebra])
+def test_a_product_with_an_ordered_junction_is_normal(algebra, n, D, nordered):
+    # the premise of the ordered-junction skip in Kernel.__mul__: normal
+    # words are non-decreasing, so w u is normal when either is empty or
+    # w[-1] <= u[0]; the other pairs are the ones that reach normalize
+    alg = algebra(n)
+    words = _box_words(alg, D)
+    ordered = [(w, u) for w in words for u in words
+               if not w or not u or w[-1] <= u[0]]
+    assert len(ordered) == nordered
+    for w, u in ordered:
+        assert alg.monomial(w + u).terms == {w + u: ONE}, (w, u)
+
+
 def _kmul_reference(k1, k2):
     """The product with every pair of terms normalised and the box applied
     only by the constructor: the pair loop without the Wick floor."""
@@ -441,12 +468,14 @@ def _one_term_per_bidegree(k):
     return Kernel(k.space, {key: k.terms[key] for key in picked.values()})
 
 
-@pytest.mark.parametrize("n, cutoff", [(1, 6), (2, 2), (3, 1)])
+@pytest.mark.parametrize("n, cutoff", [(1, 6), (1, 24), (2, 2), (3, 1)])
 def test_pruned_product_matches_the_full_pair_loop(n, cutoff, monkeypatch):
     # a product above 10^5 pairs, only Lbar^3 (Lbar^-3 L^-3) at (3, 1) with
     # 73 x 5329, is compared on one left term per leg bidegree: the full
     # reference takes about 45 s there.  At n = 3, L and Lbar hold minors
-    # of degree 3 > D and are flagged from the start.
+    # of degree 3 > D and are flagged from the start.  At (1, 24) the words
+    # are long and every leg product has an ordered junction, so none of
+    # them reaches normalize outside the reference.
     products = _poisson_products(n, cutoff, monkeypatch)
     flags = {k1.truncated or k2.truncated for k1, k2, _ in products}
     assert flags == ({True} if n == 3 else {False, True})

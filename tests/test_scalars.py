@@ -105,9 +105,15 @@ def _grid():
 
 def test_products_and_sums_match_the_general_route_on_a_grid():
     # every pair of the grid, so every fast path of __mul__ and __add__
-    # (unit monomial, Laurent, and neither) meets every kind of operand;
-    # the reference is the unreduced triple through _canonicalise
+    # (unit monomial, Laurent, and neither) meets every kind of operand,
+    # and every inverse (unit monomial or not); the reference is the
+    # unreduced triple through _canonicalise
     grid = _grid()
+    for a in grid:
+        got, want = a.inverse(), VScalar(-a.shift, a.den, a.num)
+        assert (got.shift, got.num, got.den) == (want.shift, want.num, want.den), a
+        assert_canonical(got)
+        assert a * got == ONE, a
     for a in grid:
         for b in grid:
             den = _conv(a.den, b.den)
@@ -138,6 +144,7 @@ def test_laurent_and_unit_monomial_operands_skip_the_gcd_route(monkeypatch):
         for b in laurent:
             a * b, a + b, a - b
     for u in units:
+        assert u.inverse() * u == ONE
         for x in grid:
             u * x, x * u
     fraction = next(x for x in grid if x.den != (1,))
