@@ -89,9 +89,22 @@ class LegContext:
 
 
 def _leg_k_eig(ctx: LegContext, i: int, a: int, b: int, word: tuple) -> VScalar:
-    """K_i on t^a t*^b word; K_n t = q^-1 t, K_n t* = q t*, others fix both."""
-    c = ctx.tables.k_word(i, word)
-    return c * qpow(b - a) if i == ctx.tables.n else c
+    """K_i on t^a t*^b word; K_n t = q^-1 t, K_n t* = q t*, others fix both.
+    The eigenvalue is one power of v, formed from the summed exponents."""
+    m = ctx.tables.k_exponent(i, word)
+    return vpow(m + 2 * (b - a) if i == ctx.tables.n else m)
+
+
+@lru_cache(maxsize=None)
+def _e_power(a: int, b: int) -> VScalar:
+    """e_a q^b = v^-1 [a]_q q^b, the E_n coefficient of :func:`act_leg`."""
+    return vpow(-1) * qpow(b) * (qpow(a) - qpow(-a)) / (qpow(1) - qpow(-1))
+
+
+@lru_cache(maxsize=None)
+def _f_power(b: int) -> VScalar:
+    """f_b = v (1 - q^{-2b})/(1 - q^-2), the F_n coefficient of :func:`act_leg`."""
+    return vpow(1) * (ONE - qpow(-2 * b)) / (ONE - qpow(-2))
 
 
 def act_leg(ctx: LegContext, g: UqGen, a: int, b: int, word: tuple) -> dict:
@@ -125,6 +138,9 @@ def act_leg(ctx: LegContext, g: UqGen, a: int, b: int, word: tuple) -> dict:
 
         E_n(t^a t*^b) = v^-1 [a]_q q^b  t^a t*^b z_n^n,
         F_n(t^a t*^b) = v (1 - q^{-2b})/(1 - q^-2)  t^a t*^b (z_n^n)*.
+
+    Both closed forms are memoised by their arguments (:func:`_e_power`,
+    :func:`_f_power`), so each division is made once per process.
     """
     if g.kind not in ("E", "F"):
         raise ValueError("act_leg handles E and F only")
@@ -136,14 +152,13 @@ def act_leg(ctx: LegContext, g: UqGen, a: int, b: int, word: tuple) -> dict:
         out = {(a, b, w): qpow(b - a) * c for w, c in tail.items()}
         if a == 0:
             return out
-        c = vpow(-1) * qpow(b) * (qpow(a) - qpow(-a)) / (qpow(1) - qpow(-1))
+        c = _e_power(a, b)
         letter = ctx.znn
     else:
         out = {(a, b, w): c for w, c in tail.items()}
         if b == 0:
             return out
-        c = (vpow(1) * ctx.tables.k_word(n, word, inv=True)
-             * (ONE - qpow(-2 * b)) / (ONE - qpow(-2)))
+        c = _f_power(b) * ctx.tables.k_word(n, word, inv=True)
         letter = ctx.zsnn
     # h z_n^n w or h (z_n^n)* w: w carries no power block, so no q-factor
     return add_terms(out, (((a, b, w), cw) for w, cw

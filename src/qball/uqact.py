@@ -9,11 +9,15 @@ module-algebra rules
     F(fg) = F(f) K^{-1}(g) + f F(g),
 
 which encode the comultiplication Delta(E) = E x 1 + K x E and
-Delta(F) = F x K^{-1} + 1 x F.  Every generator is a weight vector, so the
-K-factors are plain scalars, and on a word the rules unroll into one sum
-over its letters.  ``act_word`` is the one implementation of these rules:
-``kernels.act_leg`` applies it to the Wick word of a kernel leg and adds
-only the closed forms for the power block.
+Delta(F) = F x K^{-1} + 1 x F.  Every generator is a weight vector whose
+K_i eigenvalue is a power v^m with coefficient 1, so each table also keeps
+the integer exponents m, derived from its K values once, and the K-factor
+of a word is one ``vpow`` of their sum.  On a word the rules unroll into
+one sum over its letters, generated in one place (``_leibniz_terms``).
+``act`` feeds the terms of every word of a polynomial into one
+``normalize`` call, and ``act_word`` those of a single word;
+``kernels.act_leg`` applies ``act_word`` to the Wick word of a kernel leg
+and adds only the closed forms for the power block.
 
 Tables exist for the z / z* algebras (and their zeta twins) and for the
 rectangular and square matrix algebras.  The action on starred letters is
@@ -75,21 +79,27 @@ class ActionTables:
         self.E: dict = {}
         self.F: dict = {}
         self.K: dict = {}  # eigenvalue of K_i^{+1}
+        self.k_exp: dict = {i: [] for i in range(1, 2 * n)}  # K_i = v^k_exp[i][code]
         for code, g in enumerate(alg.gens):
             for i in range(1, 2 * n):
                 e, f, k = self._entry(g, i)
+                if k.num != (1,) or k.den != (1,):
+                    raise ValueError(f"K_{i} on {g}: {k.to_text()} is not a power of v")
                 self.E[(i, code)] = e
                 self.F[(i, code)] = f
                 self.K[(i, code)] = k
+                self.k_exp[i].append(k.shift)
 
     def _entry(self, g, i):
         raise NotImplementedError
 
+    def k_exponent(self, i: int, word: tuple) -> int:
+        """m with K_i(word) = v^m word."""
+        return sum(map(self.k_exp[i].__getitem__, word))
+
     def k_word(self, i: int, word: tuple, inv: bool = False) -> VScalar:
-        c = ONE
-        for g in word:
-            c = c * self.K[(i, g)]
-        return c.inverse() if inv else c
+        m = self.k_exponent(i, word)
+        return vpow(-m if inv else m)
 
 
 class MatrixActionTables(ActionTables):
@@ -182,35 +192,56 @@ def rect_tables(n: int) -> ActionTables:
 # the action itself
 # ---------------------------------------------------------------------------
 
-def act_word(t: ActionTables, g: UqGen, word: tuple) -> NCPoly:
-    """``g`` on a word, by the Leibniz rules unrolled over its letters,
+def _leibniz_terms(t: ActionTables, g: UqGen, word: tuple, c: VScalar,
+                   out: list) -> list:
+    """Append the terms of c g(word) to ``out``, for g = E_i or F_i, by the
+    Leibniz rules unrolled over the letters of the word,
     E(w) = sum_k K(w_<k) w_<k E(w_k) w_>k and
-    F(w) = sum_k w_<k F(w_k) K^-1(w_>k) w_>k, normalised in one call.
-    E walks left to right carrying K(w_<k), F right to left carrying
-    K(w_>k).  A word on which ``g`` kills every letter gives zero without
-    a ``normalize`` call."""
-    alg = t.alg
-    if g.kind in ("K", "Kinv"):
-        return NCPoly(alg, {word: t.k_word(g.i, word, inv=g.kind == "Kinv")})
+    F(w) = sum_k w_<k F(w_k) K^-1(w_>k) w_>k.
+    E walks left to right carrying the exponent of K(w_<k), F right to
+    left carrying that of K(w_>k).  The words are not normalised."""
     is_e = g.kind == "E"
     table = t.E if is_e else t.F
+    k_exp = t.k_exp[g.i]
     positions = range(len(word)) if is_e else range(len(word) - 1, -1, -1)
-    k, terms = ONE, []
+    m = 0
     for pos in positions:
         letter = word[pos]
         value = table[(g.i, letter)].terms
         if value:
-            s = k if is_e else k.inverse()
+            s = c * vpow(m if is_e else -m) if m else c
             head, tail = word[:pos], word[pos + 1:]
-            terms += [(head + u + tail, s * c) for u, c in value.items()]
-        k = k * t.K[(g.i, letter)]
-    if not terms:
-        return alg.zero()
-    return normalize(alg, terms)
+            out += [(head + u + tail, s * cu) for u, cu in value.items()]
+        m += k_exp[letter]
+    return out
+
+
+def _normal_form(alg: Algebra, terms: list) -> NCPoly:
+    """``normalize`` of a term list, with no call when the list is empty."""
+    return normalize(alg, terms) if terms else alg.zero()
+
+
+def act_word(t: ActionTables, g: UqGen, word: tuple) -> NCPoly:
+    """``g`` on a word: K_i^{+-1} scales it by one power of v, and E_i or
+    F_i give the Leibniz sum of ``_leibniz_terms`` normalised in one call,
+    or zero without a call when ``g`` kills every letter."""
+    if g.kind in ("K", "Kinv"):
+        return NCPoly(t.alg, {word: t.k_word(g.i, word, inv=g.kind == "Kinv")})
+    return _normal_form(t.alg, _leibniz_terms(t, g, word, ONE, []))
 
 
 def act(t: ActionTables, g: UqGen, p: NCPoly) -> NCPoly:
-    return t.alg.sum(act_word(t, g, w).scale(c) for w, c in p.terms.items())
+    """``g`` on a polynomial.  K_i^{+-1} scales each word by its power of
+    v.  For E_i and F_i the Leibniz terms of every word of p, with its
+    coefficient folded in, go into one ``normalize`` call."""
+    if g.kind in ("K", "Kinv"):
+        inv = g.kind == "Kinv"
+        return NCPoly(t.alg, {w: c * t.k_word(g.i, w, inv)
+                              for w, c in p.terms.items()})
+    terms: list = []
+    for w, c in p.terms.items():
+        _leibniz_terms(t, g, w, c, terms)
+    return _normal_form(t.alg, terms)
 
 
 def act_expr(t: ActionTables, expr: list, p: NCPoly) -> NCPoly:
@@ -269,32 +300,74 @@ def star_of_antipode(g: UqGen, n: int) -> list:
 # ---------------------------------------------------------------------------
 
 def module_algebra_residuals(t: ActionTables):
-    """act(xi, a*b) minus the Leibniz combination, over all generator pairs
-    and all Chevalley generators.  All residuals must vanish; this is what
-    catches transcription errors in the action tables."""
+    """act(xi, a*b) minus the Leibniz combination, over all ordered
+    generator pairs (a, b) and all Chevalley generators xi.  All residuals
+    must vanish; this is what catches transcription errors in the action
+    tables.
+
+    The left side acts on the normal form of a b.  The right side,
+    E(a) b + K(a) a E(b) or F(a) K^-1(b) b + a F(b), reads E, F and K of a
+    and b straight from the tables and is normalised in one call; for K it
+    is K(a) K(b) a b.
+    """
     alg = t.alg
     out = []
     gens = range(alg.ngens())
     for ga in gens:
-        pa = NCPoly(alg, {(ga,): ONE})
         for gb in gens:
-            pb = NCPoly(alg, {(gb,): ONE})
-            prod = pa * pb
+            prod = alg.monomial((ga, gb))
             for i in range(1, 2 * t.n):
+                ka, kb = t.K[(i, ga)], t.K[(i, gb)]
                 for kind in ("E", "F", "K"):
-                    g = UqGen(kind, i)
-                    lhs = act(t, g, prod)
-                    if kind == "E":
-                        rhs = (act(t, g, pa) * pb
-                               + (pa * act(t, g, pb)).scale(t.K[(i, ga)]))
-                    elif kind == "F":
-                        rhs = (act(t, g, pa).scale(t.K[(i, gb)].inverse()) * pb
-                               + pa * act(t, g, pb))
+                    lhs = act(t, UqGen(kind, i), prod)
+                    if kind == "K":
+                        rhs = prod.scale(ka * kb)
                     else:
-                        rhs = prod.scale(t.K[(i, ga)] * t.K[(i, gb)])
+                        table = t.E if kind == "E" else t.F
+                        sa, sb = (ONE, ka) if kind == "E" else (kb.inverse(), ONE)
+                        rhs = _normal_form(
+                            alg, [(u + (gb,), sa * c)
+                                  for u, c in table[(i, ga)].terms.items()]
+                            + [((ga,) + u, sb * c)
+                               for u, c in table[(i, gb)].terms.items()])
                     if lhs != rhs:
                         out.append(((kind, i, ga, gb), lhs - rhs))
     return out
+
+
+def _relations(n: int):
+    """(label, expr) for each relation of U_q sl_2n that
+    :func:`operator_relation_residuals` checks, in order: K E K^-1 =
+    q^{a_ij} E, K F K^-1 = q^{-a_ij} F, [E_i, F_j] = delta_ij (K_i -
+    K_i^-1)/(q - q^-1), then Serre for |i - j| = 1 and commutation for
+    |i - j| > 1.  Each expr is a formal combination for ``act_expr``."""
+    qm_inv = (qpow(1) - qpow(-1)).inverse()
+    q1 = qpow(1) + qpow(-1)
+    rng = range(1, 2 * n)
+    for i in rng:
+        for j in rng:
+            E_i, E_j = UqGen("E", i), UqGen("E", j)
+            F_i, F_j = UqGen("F", i), UqGen("F", j)
+            K_i, Kinv_i = UqGen("K", i), UqGen("Kinv", i)
+            a = cartan_entry(i, j)
+            yield ("KE", i, j), [(ONE, (K_i, E_j, Kinv_i)), (-qpow(a), (E_j,))]
+            yield ("KF", i, j), [(ONE, (K_i, F_j, Kinv_i)), (-qpow(-a), (F_j,))]
+            expr = [(ONE, (E_i, F_j)), (-ONE, (F_j, E_i))]
+            if i == j:
+                expr += [(-qm_inv, (K_i,)), (qm_inv, (Kinv_i,))]
+            yield ("EF", i, j), expr
+            if i == j:
+                continue
+            if abs(i - j) == 1:
+                yield ("SerreE", i, j), [(ONE, (E_i, E_i, E_j)),
+                                         (-q1, (E_i, E_j, E_i)),
+                                         (ONE, (E_j, E_i, E_i))]
+                yield ("SerreF", i, j), [(ONE, (F_i, F_i, F_j)),
+                                         (-q1, (F_i, F_j, F_i)),
+                                         (ONE, (F_j, F_i, F_i))]
+            else:
+                yield ("commE", i, j), [(ONE, (E_i, E_j)), (-ONE, (E_j, E_i))]
+                yield ("commF", i, j), [(ONE, (F_i, F_j)), (-ONE, (F_j, F_i))]
 
 
 def operator_relation_residuals(t: ActionTables, words):
@@ -310,49 +383,29 @@ def operator_relation_residuals(t: ActionTables, words):
     So R(f f') = R(f) g(f') + h(f) R(f'), and R 1 = eps(R) 1 = 0: the kernel
     of R is a subalgebra containing 1, once ``module_algebra_residuals``
     and the ``confluence`` suite make ``act`` a module-algebra action.
+
+    Each U_q word g_1 ... g_k is applied right to left.  Word by word, the
+    value of every suffix g_j ... g_k on the input word is formed once and
+    shared by all the relations that contain it; the residual kept for a
+    relation is the one on the first input word where it fails.
     """
-    out = []
-    qm = qpow(1) - qpow(-1)
-    polys = [NCPoly(t.alg, {w: ONE}) for w in words]
+    relations = list(_relations(t.n))
+    failed: dict = {}
 
-    def check(label, expr):
-        for p in polys:
-            r = act_expr(t, expr, p)
-            if not r.is_zero():
-                out.append((label, r))
-                return
+    def apply(acted, gens):
+        hit = acted.get(gens)
+        if hit is None:
+            hit = acted[gens] = act(t, gens[0], apply(acted, gens[1:]))
+        return hit
 
-    rng = range(1, 2 * t.n)
-    for i in rng:
-        for j in rng:
-            E_i, E_j = UqGen("E", i), UqGen("E", j)
-            F_i, F_j = UqGen("F", i), UqGen("F", j)
-            K_i = UqGen("K", i)
-            # K E K^-1 = q^{a_ij} E
-            a = cartan_entry(i, j)
-            check(("KE", i, j), [(ONE, (K_i, E_j, UqGen("Kinv", i))),
-                                 (-qpow(a), (E_j,))])
-            check(("KF", i, j), [(ONE, (K_i, F_j, UqGen("Kinv", i))),
-                                 (-qpow(-a), (F_j,))])
-            # [E_i, F_j] = delta_ij (K_i - K_i^-1)/(q - q^-1)
-            expr = [(ONE, (E_i, F_j)), (-ONE, (F_j, E_i))]
-            if i == j:
-                expr += [(-(qm.inverse()), (K_i,)), (qm.inverse(), (UqGen("Kinv", i),))]
-            check(("EF", i, j), expr)
-            if i == j:
-                continue
-            if abs(i - j) == 1:
-                q1 = qpow(1) + qpow(-1)
-                check(("SerreE", i, j), [(ONE, (E_i, E_i, E_j)),
-                                         (-q1, (E_i, E_j, E_i)),
-                                         (ONE, (E_j, E_i, E_i))])
-                check(("SerreF", i, j), [(ONE, (F_i, F_i, F_j)),
-                                         (-q1, (F_i, F_j, F_i)),
-                                         (ONE, (F_j, F_i, F_i))])
-            else:
-                check(("commE", i, j), [(ONE, (E_i, E_j)), (-ONE, (E_j, E_i))])
-                check(("commF", i, j), [(ONE, (F_i, F_j)), (-ONE, (F_j, F_i))])
-    return out
+    for w in words:
+        acted = {(): NCPoly(t.alg, {w: ONE})}
+        for label, expr in relations:
+            if label not in failed:
+                r = t.alg.sum(apply(acted, gens).scale(c) for c, gens in expr)
+                if not r.is_zero():
+                    failed[label] = r
+    return [(label, failed[label]) for label, _ in relations if label in failed]
 
 
 def star_compat_residuals(t: ActionTables, words):

@@ -1,12 +1,15 @@
+from itertools import product
+
 import pytest
 
 from qball import hua, suites
 from qball.boundary import N1Boundary, shilov_reduce
 from qball.classical import classical_kernel, classical_p11
-from qball.hua import (d2_at_zero_kernel, generator_words, hua_sum_A,
-                       hua_sum_B, match_up_to_scalar, p11_formula_kernel,
+from qball.hua import (d2_at_zero_kernel, first_leg_groups, generator_words,
+                       hua_sum_A, hua_sum_B, match_up_to_scalar, p11_formula_kernel,
                        p11_scalar, verify_hua_kernel, verify_hua_theorem_n1)
-from qball.kernels import poisson_kernel, poisson_space
+from qball.kernels import Kernel, poisson_kernel, poisson_space
+from qball.ncpoly import NCPoly, add_terms
 from qball.scalars import ONE, qpow
 from qball.suites import run_suite
 
@@ -41,6 +44,37 @@ def test_d2_kernel_valued_on_poisson_kernel():
         assert r == ratio
     assert val == expect.scale(ratio)
     assert shilov_reduce(val).is_zero()
+
+
+def _d2_by_scan(P, b, beta, a, alpha):
+    """Reference: the derivative read off a scan of every term of P."""
+    sp = P.space
+    target = hua._word_11(sp.leg1.alg, b, beta, a, alpha)
+    terms = [(key, c) for key, c in P.terms.items() if key[4] == target]
+    if any(key[:4] != (0, 0, 0, 0) for key, _ in terms):
+        raise ValueError("kernel carries powers; derivative undefined")
+    return NCPoly(sp.leg2.alg, add_terms({}, ((key[5], c) for key, c in terms)))
+
+
+@pytest.mark.parametrize("n, D", [(1, 4), (2, 2), (3, 1)])
+def test_d2_by_first_leg_lookup_matches_the_scan(n, D):
+    P = poisson_kernel(n, D)
+    groups = first_leg_groups(P)
+    for b, beta, a, alpha in product(range(1, n + 1), repeat=4):
+        expect = _d2_by_scan(P, b, beta, a, alpha)
+        assert not expect.is_zero()
+        assert d2_at_zero_kernel(P, b, beta, a, alpha, groups) == expect
+        assert d2_at_zero_kernel(P, b, beta, a, alpha) == expect
+
+
+def test_d2_refuses_a_kernel_with_powers():
+    sp = poisson_space(1, 4)
+    word = hua._word_11(sp.leg1.alg, 1, 1, 1, 1)
+    k = Kernel(sp, {(1, 0, 0, 0, word, ()): ONE})
+    with pytest.raises(ValueError, match="carries powers"):
+        d2_at_zero_kernel(k, 1, 1, 1, 1)
+    with pytest.raises(ValueError, match="carries powers"):
+        hua.verify_hua_kernel(k)
 
 
 def test_hua_sums_trivial_and_negative_control():

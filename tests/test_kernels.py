@@ -106,6 +106,33 @@ def test_L_and_Lbar_are_invariant(n):
     assert check_invariant(build_Lbar(n, max(2, n))) == []
 
 
+def test_closed_forms_equal_the_division_formula():
+    # e_a q^b = v^-1 [a]_q q^b and f_b = v (1 - q^-2b)/(1 - q^-2), a, b of
+    # either sign and zero, against the division made on every call before
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            e = vpow(-1) * qpow(b) * (qpow(a) - qpow(-a)) / (qpow(1) - qpow(-1))
+            assert kernels._e_power(a, b) == e, (a, b)
+        f = vpow(1) * (ONE - qpow(-2 * b)) / (ONE - qpow(-2))
+        assert kernels._f_power(b) == f, b
+
+
+def test_invariance_check_reaches_the_gcd_route_only_for_the_closed_forms(
+        monkeypatch):
+    # K eigenvalues are powers of v and the closed forms are memoised, so
+    # from cold caches the check at (2, 2) makes at most 4 gcd reductions
+    from qball import scalars
+    L, Lb = build_L(2, 2), build_Lbar(2, 2)
+    kernels._e_power.cache_clear()
+    kernels._f_power.cache_clear()
+    calls = []
+    real = scalars._canonicalise
+    monkeypatch.setattr(scalars, "_canonicalise",
+                        lambda *args: calls.append(args) or real(*args))
+    assert check_invariant(L) == [] and check_invariant(Lb) == []
+    assert len(calls) <= 4
+
+
 def test_non_invariant_negative_control():
     sp = poisson_space(1, 2)
     k = sp.from_pair(sp.leg1.alg.gen("z", 1, 1), sp.leg2.alg.one())

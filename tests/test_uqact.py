@@ -5,12 +5,12 @@ import pytest
 from qball import uqact
 from qball.algebras import matrix_algebra, pol_algebra, star_poly
 from qball.ncpoly import NCPoly
-from qball.scalars import ONE, qpow, vpow
-from qball.uqact import (UqGen, act, act_expr, act_word, antipode,
-                         boundary_tables, chevalley_gens, module_algebra_residuals,
-                         operator_relation_residuals, pol_tables, rect_tables,
-                         star_compat_residuals, star_of_antipode, tables_for,
-                         ustar)
+from qball.scalars import ONE, VScalar, qpow, vpow
+from qball.uqact import (MatrixActionTables, UqGen, act, act_expr, act_word,
+                         antipode, boundary_tables, chevalley_gens,
+                         module_algebra_residuals, operator_relation_residuals,
+                         pol_tables, rect_tables, star_compat_residuals,
+                         star_of_antipode, tables_for, ustar)
 from qball.suites import run_suite
 
 
@@ -111,9 +111,52 @@ def square_tables(n):
 
 @pytest.mark.parametrize("mk", [pol_tables, boundary_tables, rect_tables,
                                 square_tables])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exponent_table_gives_every_k_eigenvalue(mk, n):
+    t = mk(n)
+    assert set(t.k_exp) == set(range(1, 2 * n))
+    for (i, code), k in t.K.items():
+        assert vpow(t.k_exp[i][code]) == k, (i, code)
+
+
+def _k_word_by_letters(t, i, word, inv):
+    """Reference: the K_i eigenvalue of a word as the product of the
+    letters' eigenvalues, inverted for K_i^-1."""
+    c = ONE
+    for g in word:
+        c = c * t.K[(i, g)]
+    return c.inverse() if inv else c
+
+
+@pytest.mark.parametrize("mk", [pol_tables, boundary_tables, rect_tables,
+                                square_tables])
+@pytest.mark.parametrize("n", [1, 2])
+def test_k_word_matches_the_letter_by_letter_product(mk, n):
+    t = mk(n)
+    for length in range(4):
+        for word in product(range(t.alg.ngens()), repeat=length):
+            for i in range(1, 2 * n):
+                for inv in (False, True):
+                    assert (t.k_word(i, word, inv)
+                            == _k_word_by_letters(t, i, word, inv)), (i, word, inv)
+
+
+def test_a_k_eigenvalue_that_is_not_a_power_of_v_is_refused():
+    class TwoV(MatrixActionTables):
+        def _entry(self, g, i):
+            e, f, k = super()._entry(g, i)
+            return e, f, (VScalar.from_int(2) * vpow(1) if g.j == i else k)
+
+    with pytest.raises(ValueError, match="not a power of v"):
+        TwoV(matrix_algebra(1, 2), 1)
+
+
+@pytest.mark.parametrize("mk", [pol_tables, boundary_tables, rect_tables,
+                                square_tables])
 @pytest.mark.parametrize("n", [1, 2])
 def test_tables_respect_defining_relations(mk, n):
-    assert module_algebra_residuals(mk(n)) == []
+    t = mk(n)
+    assert module_algebra_residuals(t) == _module_algebra_by_pair_products(t) == []
 
 
 def test_operator_relations_on_bidegree_two_box():
@@ -135,7 +178,9 @@ def _generator_words(t):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_operator_relations_on_generators(n):
     t = pol_tables(n)
-    assert operator_relation_residuals(t, _generator_words(t)) == []
+    words = _generator_words(t)
+    assert (operator_relation_residuals(t, words)
+            == _operator_relations_by_expression(t, words) == [])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -144,24 +189,117 @@ def test_star_compatibility_on_generators(n):
     assert star_compat_residuals(t, _generator_words(t)) == []
 
 
-@pytest.mark.parametrize("table,cls,a,al", [("E", "z", 2, 1), ("F", "z", 1, 1),
-                                            ("E", "zs", 1, 1),
-                                            ("F", "zs", 2, 1)])
-def test_action_suite_fails_on_a_corrupted_table(monkeypatch, table, cls, a, al):
-    # scaling one nonzero E_1 or F_1 value by q must be caught, and the
-    # generator-level relation and star checks each catch it on their own
-    t = pol_tables(2)
+def _module_algebra_by_pair_products(t):
+    """Reference: each side of the module-algebra rules from ``act`` on the
+    generators and on their product, multiplied out as NCPoly products."""
+    alg = t.alg
+    out = []
+    gens = range(alg.ngens())
+    for ga in gens:
+        pa = NCPoly(alg, {(ga,): ONE})
+        for gb in gens:
+            pb = NCPoly(alg, {(gb,): ONE})
+            prod = pa * pb
+            for i in range(1, 2 * t.n):
+                for kind in ("E", "F", "K"):
+                    g = UqGen(kind, i)
+                    lhs = act(t, g, prod)
+                    if kind == "E":
+                        rhs = (act(t, g, pa) * pb
+                               + (pa * act(t, g, pb)).scale(t.K[(i, ga)]))
+                    elif kind == "F":
+                        rhs = (act(t, g, pa).scale(t.K[(i, gb)].inverse()) * pb
+                               + pa * act(t, g, pb))
+                    else:
+                        rhs = prod.scale(t.K[(i, ga)] * t.K[(i, gb)])
+                    if lhs != rhs:
+                        out.append(((kind, i, ga, gb), lhs - rhs))
+    return out
+
+
+def _operator_relations_by_expression(t, words):
+    """Reference: every relation applied to every word through ``act_expr``,
+    with no acted value shared between relations."""
+    out = []
+    polys = [NCPoly(t.alg, {w: ONE}) for w in words]
+    for label, expr in uqact._relations(t.n):
+        for p in polys:
+            r = act_expr(t, expr, p)
+            if not r.is_zero():
+                out.append((label, r))
+                break
+    return out
+
+
+# one nonzero E_1 or F_1 value at n = 2 to scale by q:
+# (tables, table, class, a, alpha)
+CORRUPTIONS = [
+    pytest.param(pol_tables, "E", "z", 2, 1, id="E-z-2-1"),
+    pytest.param(pol_tables, "F", "z", 1, 1, id="F-z-1-1"),
+    pytest.param(pol_tables, "E", "zs", 1, 1, id="E-zs-1-1"),
+    pytest.param(pol_tables, "F", "zs", 2, 1, id="F-zs-2-1"),
+    pytest.param(rect_tables, "E", "t", 1, 2, id="rect-E-t-1-2"),
+    pytest.param(boundary_tables, "E", "zeta", 2, 1, id="boundary-E-zeta-2-1"),
+]
+
+
+def _corrupt(monkeypatch, mk, table, cls, a, al):
+    t = mk(2)
     entries = getattr(t, table)
     key = (1, t.alg.gen_code(cls, a, al))
     assert not entries[key].is_zero()
     monkeypatch.setitem(entries, key, entries[key].scale(qpow(1)))
-    ops = operator_relation_residuals(t, _generator_words(t))
-    stars = star_compat_residuals(t, _generator_words(t))
-    assert ops and stars
+    return t
+
+
+@pytest.mark.parametrize("mk,table,cls,a,al", CORRUPTIONS)
+def test_action_suite_fails_on_a_corrupted_table(monkeypatch, mk, table, cls, a, al):
+    # scaling one nonzero E_1 or F_1 value by q must be caught; on the pol
+    # tables the generator-level relation and star checks each catch it on
+    # their own, and the other tables go through the module-algebra check
+    t = _corrupt(monkeypatch, mk, table, cls, a, al)
+    mods = module_algebra_residuals(t)
+    count = len(mods)
+    if mk is pol_tables:
+        ops = operator_relation_residuals(t, _generator_words(t))
+        stars = star_compat_residuals(t, _generator_words(t))
+        assert ops and stars
+        count += len(ops) + len(stars)
+    else:
+        assert mods
     rep = run_suite("action", 2, 1)
     assert rep.status == "FAIL"
-    assert rep.residual_count == (len(module_algebra_residuals(t)) + len(ops)
-                                  + len(stars))
+    assert rep.residual_count == count
+
+
+@pytest.mark.parametrize("mk,table,cls,a,al", CORRUPTIONS)
+def test_rewritten_checks_match_their_references_on_a_corrupted_table(
+        monkeypatch, mk, table, cls, a, al):
+    t = _corrupt(monkeypatch, mk, table, cls, a, al)
+    mods = module_algebra_residuals(t)
+    assert mods and mods == _module_algebra_by_pair_products(t)
+    words = _generator_words(t)
+    assert (operator_relation_residuals(t, words)
+            == _operator_relations_by_expression(t, words))
+
+
+@pytest.mark.parametrize("mk", [pol_tables, boundary_tables, rect_tables])
+@pytest.mark.parametrize("n", [1, 2])
+def test_act_on_a_polynomial_is_the_sum_over_its_words(mk, n):
+    # every polynomial of at most two terms, each a normal word of length
+    # <= 2, one coefficient with a true denominator
+    t = mk(n)
+    alg = t.alg
+    G = range(alg.ngens())
+    words = [()] + [(g,) for g in G] + [(g, h) for g in G for h in G if g <= h]
+    coeffs = (ONE + qpow(1), (ONE - vpow(-1)) / (ONE + qpow(1)))
+    polys = [alg.zero()] + [NCPoly(alg, {w: coeffs[0]}) for w in words]
+    polys += [NCPoly(alg, {w: coeffs[0], u: coeffs[1]})
+              for k, w in enumerate(words) for u in words[k + 1:]]
+    for p in polys:
+        for g in chevalley_gens(n):
+            expect = alg.sum(act_word(t, g, w).scale(c) for w, c in p.terms.items())
+            assert act(t, g, p) == expect, (g, p)
 
 
 def test_star_compat_explicit_example():
