@@ -316,6 +316,15 @@ class Kernel:
     # -- the U_q action across the two legs -----------------------------------
 
     def act(self, g: UqGen) -> "Kernel":
+        """g on the kernel through the coproduct: K x K for K_i^{+-1},
+        E x 1 + K x E for E_i and F x K^-1 + 1 x F for F_i.
+
+        The terms of a kernel share few distinct legs (over every E_i and
+        F_i, L and Lbar at n = D = 3 have 3,280 legs, 1,360 of them
+        distinct), so E_i and F_i apply :func:`act_leg` once per distinct
+        first leg (a, b, w1) and once per distinct second leg (c, d, w2),
+        and every term reads its legs' values from those two dicts.
+        """
         sp = self.space
         if g.kind in ("K", "Kinv"):
             inv = g.kind == "Kinv"
@@ -326,17 +335,21 @@ class Kernel:
                      * _leg_k_eig(sp.leg2, g.i, cc, d, w2))
                 out[key] = c * (s.inverse() if inv else s)
             return Kernel(sp, out, self.truncated)
+        keys = self.terms.keys()
+        legs1 = {leg: act_leg(sp.leg1, g, *leg)
+                 for leg in dict.fromkeys((k[0], k[1], k[4]) for k in keys)}
+        legs2 = {leg: act_leg(sp.leg2, g, *leg)
+                 for leg in dict.fromkeys((k[2], k[3], k[5]) for k in keys)}
         acc: dict = {}
         for (a, b, cc, d, w1, w2), c in self.terms.items():
-            # E x 1 + K x E, or F x K^-1 + 1 x F
             if g.kind == "E":
                 s1, s2 = c, c * _leg_k_eig(sp.leg1, g.i, a, b, w1)
             else:
                 s1, s2 = c * _leg_k_eig(sp.leg2, g.i, cc, d, w2).inverse(), c
             add_terms(acc, (((a2, b2, cc, d, wn, w2), s1 * cv) for (a2, b2, wn), cv
-                            in act_leg(sp.leg1, g, a, b, w1).items()))
+                            in legs1[(a, b, w1)].items()))
             add_terms(acc, (((a, b, c2, d2, w1, un), s2 * cv) for (c2, d2, un), cv
-                            in act_leg(sp.leg2, g, cc, d, w2).items()))
+                            in legs2[(cc, d, w2)].items()))
         return Kernel(sp, acc, self.truncated)
 
     # -- inspection -------------------------------------------------------------

@@ -71,10 +71,12 @@ def suite_star(rep: Report, n: int, cutoff: int):
 
     ``star_poly`` reverses words, swaps classes and renormalises.  It is a
     well-defined antihomomorphism of Pol exactly when it respects every
-    rewrite rule, i.e. ``star(g h) == star(h) star(g)`` on generator pairs,
+    rewrite rule, i.e. ``star(g h) == star(h) star(g)`` on the pairs g > h,
     since the tables are confluent (the ``confluence`` suite).  Its square
     is then a homomorphism, the identity once ``star(star(g)) == g``, so
-    these finite checks prove both properties on all of Pol.
+    these finite checks prove both properties on all of Pol.  A pair
+    g <= h is not checked: g h is normal and each star(g) is one letter, so
+    both sides normalise the one word star(h) star(g).
     """
     alg = pol_algebra(n)
     G = range(alg.ngens())
@@ -84,7 +86,7 @@ def suite_star(rep: Report, n: int, cutoff: int):
                    for g in G])
     _collect(rep, [(f"star-antimult:{g},{h}",
                     star_poly(normalize(alg, [((g, h), ONE)])) - stars[h] * stars[g])
-                   for g in G for h in G])
+                   for g in G for h in range(g)])
     bad = []
     for a in range(1, n + 1):
         for al in range(1, n + 1):

@@ -29,7 +29,11 @@ with the plus sign exactly at i = n.  The same compatibility drives the
 formal involution on U_q generators (``ustar``) used by the cross-check
 tests.  The relations of U_q sl_2n are skew-primitive (J. C. Jantzen,
 *Lectures on Quantum Groups*, AMS 1996, ch. 4), so they and the star
-compatibility are checked on generators of the algebra only.
+compatibility are checked on generators of the algebra only, and the
+module-algebra rules on the generator pairs a > b, the left sides of the
+rewrite rules, only.  The relation and star checks apply U_q words right
+to left through values shared word by word (``_suffix_value``), so each
+acted value is formed once per input word.
 """
 
 from __future__ import annotations
@@ -244,14 +248,20 @@ def act(t: ActionTables, g: UqGen, p: NCPoly) -> NCPoly:
     return _normal_form(t.alg, terms)
 
 
-def act_expr(t: ActionTables, expr: list, p: NCPoly) -> NCPoly:
-    """Apply a formal combination sum c * (g_1 g_2 ... g_k) of U_q words."""
-    def apply(gens):
-        cur = p
-        for g in reversed(gens):
-            cur = act(t, g, cur)
-        return cur
-    return t.alg.sum(apply(gens).scale(c) for c, gens in expr)
+def _suffix_value(t: ActionTables, acted: dict, gens: tuple) -> NCPoly:
+    """The U_q word g_1 ... g_k, applied right to left, on the polynomial
+    ``acted[()]``.  The value of every suffix g_j ... g_k is formed once and
+    kept in ``acted``, so words that share a suffix share its value."""
+    hit = acted.get(gens)
+    if hit is None:
+        hit = acted[gens] = act(t, gens[0], _suffix_value(t, acted, gens[1:]))
+    return hit
+
+
+def _expr_value(t: ActionTables, acted: dict, expr: list) -> NCPoly:
+    """A formal combination sum c * (g_1 ... g_k) of U_q words on
+    ``acted[()]``, through the shared suffix values of ``acted``."""
+    return t.alg.sum(_suffix_value(t, acted, gens).scale(c) for c, gens in expr)
 
 
 # ---------------------------------------------------------------------------
@@ -300,38 +310,39 @@ def star_of_antipode(g: UqGen, n: int) -> list:
 # ---------------------------------------------------------------------------
 
 def module_algebra_residuals(t: ActionTables):
-    """act(xi, a*b) minus the Leibniz combination, over all ordered
-    generator pairs (a, b) and all Chevalley generators xi.  All residuals
-    must vanish; this is what catches transcription errors in the action
-    tables.
+    """act(xi, a b) minus the Leibniz combination, over the generator pairs
+    a > b and all Chevalley generators xi.  All residuals must vanish; this
+    is what catches transcription errors in the action tables.
+
+    The pairs a > b are the left sides of the rewrite rules, the defining
+    relations of the algebra (G. Bergman, *The diamond lemma for ring
+    theory*, Adv. Math. 29, 1978), and only they are checked.  For a <= b
+    the word a b is its own normal form, so both sides are the Leibniz
+    terms of one word: one computation, which cannot fail.
 
     The left side acts on the normal form of a b.  The right side,
-    E(a) b + K(a) a E(b) or F(a) K^-1(b) b + a F(b), reads E, F and K of a
-    and b straight from the tables and is normalised in one call; for K it
-    is K(a) K(b) a b.
+    E(a) b + K(a) a E(b) or F(a) K^-1(b) b + a F(b), is the Leibniz sum on
+    the word a b itself, read straight from the tables.  The left side's
+    Leibniz terms and the right side's, negated, go into one ``normalize``
+    call, whose value is lhs - rhs.  For K the right side is K(a) K(b) a b.
     """
     alg = t.alg
     out = []
-    gens = range(alg.ngens())
-    for ga in gens:
-        for gb in gens:
+    for ga in range(alg.ngens()):
+        for gb in range(ga):
             prod = alg.monomial((ga, gb))
             for i in range(1, 2 * t.n):
-                ka, kb = t.K[(i, ga)], t.K[(i, gb)]
                 for kind in ("E", "F", "K"):
-                    lhs = act(t, UqGen(kind, i), prod)
+                    g = UqGen(kind, i)
                     if kind == "K":
-                        rhs = prod.scale(ka * kb)
+                        r = act(t, g, prod) - prod.scale(t.K[(i, ga)] * t.K[(i, gb)])
                     else:
-                        table = t.E if kind == "E" else t.F
-                        sa, sb = (ONE, ka) if kind == "E" else (kb.inverse(), ONE)
-                        rhs = _normal_form(
-                            alg, [(u + (gb,), sa * c)
-                                  for u, c in table[(i, ga)].terms.items()]
-                            + [((ga,) + u, sb * c)
-                               for u, c in table[(i, gb)].terms.items()])
-                    if lhs != rhs:
-                        out.append(((kind, i, ga, gb), lhs - rhs))
+                        terms = _leibniz_terms(t, g, (ga, gb), -ONE, [])
+                        for w, c in prod.terms.items():
+                            _leibniz_terms(t, g, w, c, terms)
+                        r = _normal_form(alg, terms)
+                    if not r.is_zero():
+                        out.append(((kind, i, ga, gb), r))
     return out
 
 
@@ -340,7 +351,7 @@ def _relations(n: int):
     :func:`operator_relation_residuals` checks, in order: K E K^-1 =
     q^{a_ij} E, K F K^-1 = q^{-a_ij} F, [E_i, F_j] = delta_ij (K_i -
     K_i^-1)/(q - q^-1), then Serre for |i - j| = 1 and commutation for
-    |i - j| > 1.  Each expr is a formal combination for ``act_expr``."""
+    |i - j| > 1.  Each expr is a formal combination for ``_expr_value``."""
     qm_inv = (qpow(1) - qpow(-1)).inverse()
     q1 = qpow(1) + qpow(-1)
     rng = range(1, 2 * n)
@@ -386,23 +397,17 @@ def operator_relation_residuals(t: ActionTables, words):
 
     Each U_q word g_1 ... g_k is applied right to left.  Word by word, the
     value of every suffix g_j ... g_k on the input word is formed once and
-    shared by all the relations that contain it; the residual kept for a
-    relation is the one on the first input word where it fails.
+    shared by all the relations that contain it (``_suffix_value``); the
+    residual kept for a relation is the one on the first input word where
+    it fails.
     """
     relations = list(_relations(t.n))
     failed: dict = {}
-
-    def apply(acted, gens):
-        hit = acted.get(gens)
-        if hit is None:
-            hit = acted[gens] = act(t, gens[0], apply(acted, gens[1:]))
-        return hit
-
     for w in words:
         acted = {(): NCPoly(t.alg, {w: ONE})}
         for label, expr in relations:
             if label not in failed:
-                r = t.alg.sum(apply(acted, gens).scale(c) for c, gens in expr)
+                r = _expr_value(t, acted, expr)
                 if not r.is_zero():
                     failed[label] = r
     return [(label, failed[label]) for label, _ in relations if label in failed]
@@ -419,15 +424,20 @@ def star_compat_residuals(t: ActionTables, words):
     sum (S(a'')* g*)(S(a')* f*).  Every a', a'' is 1 or a Chevalley
     generator, so the f for which it holds for every Chevalley a form a
     subalgebra (``star_poly`` is antimultiplicative, the ``star`` suite).
+
+    Word by word, the right sides share their acted values as in
+    :func:`operator_relation_residuals`: (S(E_i))*, (S(F_i))* and (S(K_i))*
+    all end in K_i^-1, whose value on f* is formed once.
     Returns [((g, w), residual)] for the pairs where it fails.
     """
+    exprs = [(g, star_of_antipode(g, t.n)) for g in chevalley_gens(t.n)]
     out = []
     for w in words:
         p = NCPoly(t.alg, {w: ONE})
-        ps = star_poly(p)
-        for g in chevalley_gens(t.n):
+        acted = {(): star_poly(p)}
+        for g, expr in exprs:
             lhs = star_poly(act(t, g, p))
-            rhs = act_expr(t, star_of_antipode(g, t.n), ps)
+            rhs = _expr_value(t, acted, expr)
             if lhs != rhs:
                 out.append(((g, w), lhs - rhs))
     return out

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qball import kernels, suites
+from qball.algebras import pol_algebra
 from qball.cli import main
 from qball.parser import ExprError, parse_expr
 from qball.render import poly_text
@@ -86,6 +87,23 @@ def test_star_suite_negative_control(monkeypatch):
     star = suites.star_poly
     monkeypatch.setattr(suites, "star_poly", lambda p: star(p).scale(qpow(1)))
     assert run_suite("star", 1, 2).status == "FAIL"
+
+
+def test_star_antimult_catches_one_corrupted_rewrite_rule(monkeypatch):
+    # z[1,2] z[1,1] = q^-1 z[1,1] z[1,2], scaled by q: star-antimult fails
+    # on that pair and on the pair of its star image, zs[1,2] zs[1,1], whose
+    # star normalises through the corrupted rule; star-involutive reads no
+    # rule and holds
+    alg = pol_algebra(2)
+    g, h = alg.gen_code("z", 1, 2), alg.gen_code("z", 1, 1)
+    sg, sh = alg.gen_code("zs", 1, 2), alg.gen_code("zs", 1, 1)
+    assert (g, h, sg, sh) == (1, 0, 5, 4)
+    rule = alg.pair_rule(g, h)
+    monkeypatch.setitem(alg._pair_cache, (g, h),
+                        [(c * qpow(1), w) for c, w in rule])
+    rep = run_suite("star", 2, 1)
+    assert rep.status == "FAIL" and rep.residual_count == 2
+    assert rep.residual_sample == ["star-antimult:1,0", "star-antimult:5,4"]
 
 
 def test_report_json_schema_and_determinism():

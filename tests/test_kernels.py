@@ -712,6 +712,72 @@ def test_kernel_act_on_one_leg_is_the_pol_action_cut_to_the_box(case):
     assert flags == ({False, True} if case == "edge" else {False})
 
 
+def _kernel_act_by_terms(k, g):
+    """Reference: g on a kernel term by term, ``act_leg`` called on both
+    legs of every term, with no leg value shared between terms."""
+    sp = k.space
+    if g.kind in ("K", "Kinv"):
+        out = {}
+        for key, c in k.terms.items():
+            a, b, cc, d, w1, w2 = key
+            s = (kernels._leg_k_eig(sp.leg1, g.i, a, b, w1)
+                 * kernels._leg_k_eig(sp.leg2, g.i, cc, d, w2))
+            out[key] = c * (s.inverse() if g.kind == "Kinv" else s)
+        return Kernel(sp, out, k.truncated)
+    acc = {}
+    for (a, b, cc, d, w1, w2), c in k.terms.items():
+        # E x 1 + K x E, or F x K^-1 + 1 x F
+        if g.kind == "E":
+            s1, s2 = c, c * kernels._leg_k_eig(sp.leg1, g.i, a, b, w1)
+        else:
+            s1, s2 = c * kernels._leg_k_eig(sp.leg2, g.i, cc, d, w2).inverse(), c
+        add_terms(acc, (((a2, b2, cc, d, wn, w2), s1 * cv) for (a2, b2, wn), cv
+                        in act_leg(sp.leg1, g, a, b, w1).items()))
+        add_terms(acc, (((a, b, c2, d2, w1, un), s2 * cv) for (c2, d2, un), cv
+                        in act_leg(sp.leg2, g, cc, d, w2).items()))
+    return Kernel(sp, acc, k.truncated)
+
+
+def _kernel_with_repeated_legs():
+    # every first leg meets three second legs and the other way round, under
+    # two power blocks
+    sp = poisson_space(2, 2)
+    a1, a2 = sp.leg1.alg, sp.leg2.alg
+    p1 = a1.one() + a1.gen("z", 2, 2) + a1.gen("z", 1, 2) * a1.gen("zs", 2, 1)
+    p2 = a2.one() + a2.gen("zetas", 2, 2) + a2.gen("zeta", 2, 1).scale(qpow(2))
+    return sp.sum([sp.from_pair(p1, p2, key=(1, 0, 0, 1)),
+                   sp.from_pair(p1, p2, key=(2, 1, 1, 1), coeff=qpow(-1))])
+
+
+@pytest.mark.parametrize("case", ["L-2-2", "Lbar-2-2", "L-3-1", "Lbar-3-1",
+                                  "repeated"])
+def test_kernel_act_matches_the_term_by_term_reference(case):
+    if case == "repeated":
+        k = _kernel_with_repeated_legs()
+        assert len({key[:2] + key[4:5] for key in k.terms}) < len(k.terms)
+        assert len({key[2:4] + key[5:] for key in k.terms}) < len(k.terms)
+    else:
+        name, n, D = case.split("-")
+        k = (build_L if name == "L" else build_Lbar)(int(n), int(D))
+    for g in chevalley_gens(k.space.n):
+        got, expect = k.act(g), _kernel_act_by_terms(k, g)
+        assert got == expect and got.truncated == expect.truncated, g
+
+
+def test_invariance_acts_once_per_distinct_leg(monkeypatch):
+    # the terms of L and Lbar at n = D = 3 carry 3,280 legs, 1,360 distinct
+    calls = []
+    real = kernels.act_leg
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+    monkeypatch.setattr(kernels, "act_leg", counted)
+    assert check_invariant(build_L(3, 3)) == []
+    assert check_invariant(build_Lbar(3, 3)) == []
+    assert 0 < len(calls) <= 1360
+
+
 def _kernel_hash(P) -> str:
     text = repr(sorted((repr(k), c.to_text()) for k, c in P.terms.items()))
     return hashlib.sha1(text.encode()).hexdigest()[:12]
@@ -724,6 +790,7 @@ def _kernel_hash(P) -> str:
     (2, 3, "94f9941a67a5", 3663),
     (3, 1, "2a66cfc790a3", 109),
     (3, 2, "cc4889fdc719", 6473),
+    (4, 1, "61e1880149ee", 305),
 ])
 def test_poisson_kernel_golden_hash(n, D, digest, terms):
     P = poisson_kernel(n, D)

@@ -3,10 +3,10 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from qball import uqact
-from qball.algebras import matrix_algebra, pol_algebra, star_poly
-from qball.ncpoly import NCPoly
+from qball.algebras import matrix_algebra, pol_algebra, star_class, star_poly
+from qball.ncpoly import Generator, NCPoly, normalize
 from qball.scalars import ONE, VScalar, qpow, vpow
-from qball.uqact import (MatrixActionTables, UqGen, act, act_expr, act_word,
+from qball.uqact import (MatrixActionTables, UqGen, act, act_word,
                          antipode, boundary_tables, chevalley_gens,
                          module_algebra_residuals, operator_relation_residuals,
                          pol_tables, rect_tables, star_compat_residuals,
@@ -175,6 +175,32 @@ def _generator_words(t):
     return [()] + [(g,) for g in range(t.alg.ngens())]
 
 
+def act_expr(t, expr, p):
+    """Reference: a formal combination sum c * (g_1 g_2 ... g_k) of U_q
+    words on p, each word applied right to left with no value shared."""
+    def apply(gens):
+        cur = p
+        for g in reversed(gens):
+            cur = act(t, g, cur)
+        return cur
+    return t.alg.sum(apply(gens).scale(c) for c, gens in expr)
+
+
+def _star_compat_by_expression(t, words):
+    """Reference: (a f)* - (S(a))* f* for every Chevalley a and word f,
+    each right side applied through ``act_expr``."""
+    out = []
+    for w in words:
+        p = NCPoly(t.alg, {w: ONE})
+        ps = star_poly(p)
+        for g in chevalley_gens(t.n):
+            lhs = star_poly(act(t, g, p))
+            rhs = act_expr(t, star_of_antipode(g, t.n), ps)
+            if lhs != rhs:
+                out.append(((g, w), lhs - rhs))
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_operator_relations_on_generators(n):
     t = pol_tables(n)
@@ -186,7 +212,65 @@ def test_operator_relations_on_generators(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_star_compatibility_on_generators(n):
     t = pol_tables(n)
-    assert star_compat_residuals(t, _generator_words(t)) == []
+    words = _generator_words(t)
+    assert (star_compat_residuals(t, words)
+            == _star_compat_by_expression(t, words) == [])
+
+
+def _sorted_terms(terms):
+    return sorted((w, c.to_text()) for w, c in terms)
+
+
+@pytest.mark.parametrize("mk", [pol_tables, boundary_tables, rect_tables,
+                                square_tables])
+@pytest.mark.parametrize("n", [1, 2])
+def test_unchecked_pairs_give_one_term_list_on_both_sides(mk, n):
+    # module_algebra_residuals checks only the pairs ga > gb: for ga <= gb
+    # the word ga gb is normal, and the terms the old all-pairs check fed
+    # to its two normalize calls are the same terms
+    t = mk(n)
+    alg = t.alg
+    G = range(alg.ngens())
+    for ga in G:
+        for gb in G[ga:]:
+            prod = alg.monomial((ga, gb))
+            assert prod.terms == {(ga, gb): ONE}
+            for i in range(1, 2 * n):
+                ka, kb = t.K[(i, ga)], t.K[(i, gb)]
+                for kind in ("E", "F", "K"):
+                    g = UqGen(kind, i)
+                    if kind == "K":
+                        lhs = list(act(t, g, prod).terms.items())
+                        rhs = [((ga, gb), ka * kb)]
+                    else:
+                        lhs = []
+                        for w, c in prod.terms.items():
+                            uqact._leibniz_terms(t, g, w, c, lhs)
+                        table = t.E if kind == "E" else t.F
+                        sa, sb = (ONE, ka) if kind == "E" else (kb.inverse(), ONE)
+                        rhs = ([(u + (gb,), sa * c)
+                                for u, c in table[(i, ga)].terms.items()]
+                               + [((ga,) + u, sb * c)
+                                  for u, c in table[(i, gb)].terms.items()])
+                    assert _sorted_terms(lhs) == _sorted_terms(rhs), (g, ga, gb)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_unchecked_star_pairs_give_one_term_list_on_both_sides(n):
+    # the star suite checks star-antimult only on the pairs g > h: for
+    # g <= h both sides normalise the one word star(h) star(g)
+    alg = pol_algebra(n)
+    star = [alg.code[Generator(star_class(x.cls), x.i, x.j)] for x in alg.gens]
+    G = range(alg.ngens())
+    stars = [star_poly(NCPoly(alg, {(g,): ONE})) for g in G]
+    for g in G:
+        for h in G[g:]:
+            lhs = [(tuple(star[x] for x in reversed(w)), c)
+                   for w, c in normalize(alg, [((g, h), ONE)]).terms.items()]
+            rhs = [(w1 + w2, c1 * c2) for w1, c1 in stars[h].terms.items()
+                   for w2, c2 in stars[g].terms.items()]
+            assert _sorted_terms(lhs) == _sorted_terms(rhs) == [
+                ((star[h], star[g]), "1")], (g, h)
 
 
 def _module_algebra_by_pair_products(t):
@@ -281,6 +365,9 @@ def test_rewritten_checks_match_their_references_on_a_corrupted_table(
     words = _generator_words(t)
     assert (operator_relation_residuals(t, words)
             == _operator_relations_by_expression(t, words))
+    if mk is not rect_tables:  # the rectangular algebra has no star
+        assert (star_compat_residuals(t, words)
+                == _star_compat_by_expression(t, words))
 
 
 @pytest.mark.parametrize("mk", [pol_tables, boundary_tables, rect_tables])
