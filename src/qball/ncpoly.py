@@ -145,6 +145,9 @@ def normalize(alg: Algebra, terms: Iterable) -> "NCPoly":
     order, each left-most descent first, into one accumulator, with a budget
     of ``MAX_REWRITE_STEPS`` per word.  By confluence, which
     :func:`overlap_residuals` proves, the order does not change the result.
+
+    Rewriting at the left-most descent i leaves no descent before i - 1, as
+    ``w[:i+1]`` has none and rule words are normal: the search resumes there.
     """
     ngens = len(alg.gens)
     pending = []
@@ -153,14 +156,14 @@ def normalize(alg: Algebra, terms: Iterable) -> "NCPoly":
             if not 0 <= g < ngens:
                 raise UnknownGeneratorError(f"code {g} not in {alg.name}")
         if not c.is_zero():
-            pending.append((c, w))
+            pending.append((c, w, 0))
     budget = MAX_REWRITE_STEPS * len(pending)
     pending.reverse()
     acc: dict = {}
     steps = 0
     while pending:
-        c, w = pending.pop()
-        pos = _find_descent(w)
+        c, w, start = pending.pop()
+        pos = _find_descent(w, start)
         if pos < 0:
             add_terms(acc, ((w, c),))
             continue
@@ -168,14 +171,14 @@ def normalize(alg: Algebra, terms: Iterable) -> "NCPoly":
         if steps > budget:
             raise RewriteLimitExceeded(
                 f"{alg.name}: rewrite budget exhausted (non-terminating table?)")
-        head, tail = w[:pos], w[pos + 2:]
+        head, tail, start = w[:pos], w[pos + 2:], pos - 1 if pos else 0
         for rc, rw in alg.pair_rule(w[pos], w[pos + 1]):
-            pending.append((c * rc, head + rw + tail))
+            pending.append((c * rc, head + rw + tail, start))
     return NCPoly(alg, acc)
 
 
-def _find_descent(w: tuple) -> int:
-    for i in range(len(w) - 1):
+def _find_descent(w: tuple, start: int = 0) -> int:
+    for i in range(start, len(w) - 1):
         if w[i] > w[i + 1]:
             return i
     return -1

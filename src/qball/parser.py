@@ -12,6 +12,10 @@ Atoms decide the algebra: z/zs live in Pol(Mat_n)_q, zeta/zetas on the
 boundary, t in the rectangular n x 2n algebra; mixing families is an
 error, and an expression without letters is a scalar.  Negative exponents
 are only defined for scalar subexpressions.
+
+The scalar factors of a product are multiplied together and applied once to
+the product of its polynomial factors.  Q(v) is central, so this is exact, and
+it keeps the gcd work of a factor like ``(1 + q^2)^-1`` out of every rewrite.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from functools import lru_cache
 
 from .algebras import boundary_algebra, pol_algebra, matrix_algebra
 from .ncpoly import Algebra, NCPoly
-from .scalars import Q, V, VScalar
+from .scalars import ONE, Q, V, VScalar
 
 
 class ExprError(ValueError):
@@ -124,13 +128,19 @@ class _Parser:
         return acc
 
     def term(self):
-        acc = self.factor()
-        while self.peek()[:2] == ("sym", "*"):
+        scalar, acc = ONE, None
+        while True:
+            f = self.factor()
+            if isinstance(f, VScalar):
+                scalar = scalar * f
+            else:
+                acc = f if acc is None else acc * f
+            if self.peek()[:2] != ("sym", "*"):
+                break
             self.take()
-            rhs = self.factor()
-            acc, rhs = self._align(acc, rhs)
-            acc = acc * rhs
-        return acc
+        if acc is None:
+            return scalar
+        return acc if scalar == ONE else acc.scale(scalar)
 
     def factor(self):
         base = self.atom()

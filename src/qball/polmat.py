@@ -149,13 +149,13 @@ def gl_star_gen(n: int, a: int, alpha: int) -> GLnElement:
 
 @lru_cache(maxsize=None)
 def _det_star_scale(n: int) -> VScalar:
-    """star(det_q) = c * det_q^{-1}; computes and caches c, asserting the shape."""
+    """star(det_q) = c * det_q^{-1}; computes and caches c, checking the shape."""
     alg = GLnElement.algebra(n)
     det = qdet(alg, n, cls="z")
     starred = GLnElement(n, det, 0).star()
     prod = GLnElement.sum(n, [starred * GLnElement(n, det, 0)])
-    assert prod.dpow == 0 and set(prod.poly.terms) == {()}, \
-        "star(det_q) is not a scalar multiple of det_q^{-1}"
+    if prod.dpow != 0 or set(prod.poly.terms) != {()}:
+        raise ArithmeticError("star(det_q) is not a scalar multiple of det_q^{-1}")
     return prod.poly.constant_term()
 
 

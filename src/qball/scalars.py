@@ -108,21 +108,23 @@ def _pgcd(a: tuple, b: tuple) -> tuple:
 
 
 def _pdiv_exact(a: tuple, b: tuple) -> tuple:
-    # exact division in Z[v]; quotient coefficients are integral by Gauss
+    # exact division in Z[v].  The caller divides by a primitive gcd b, so by
+    # Gauss's lemma the quotient is integral: every partial remainder is (the
+    # rest of the quotient) * b, and each step divides by b[-1] exactly.
     if not a:
         return ()
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    r = [Fraction(x) for x in a]
-    lb = Fraction(b[-1])
-    for k in range(len(a) - len(b), -1, -1):
-        c = r[k + len(b) - 1] / lb
-        q[k] = c
+    nb, lb = len(b), b[-1]
+    q = [0] * (len(a) - nb + 1)
+    r = list(a)
+    for k in range(len(a) - nb, -1, -1):
+        # an inexact step leaves its remainder at k + nb - 1, checked below
+        c = q[k] = r[k + nb - 1] // lb
         if c:
             for i, y in enumerate(b):
                 r[k + i] -= c * y
-    assert all(x == 0 for x in r), "non-exact polynomial division"
-    assert all(x.denominator == 1 for x in q)
-    return _ptrim([int(x) for x in q])
+    if any(r):  # b does not divide a
+        raise ArithmeticError("non-exact polynomial division")
+    return _ptrim(q)
 
 
 def _peval(a: tuple, x: Fraction) -> Fraction:
@@ -276,13 +278,13 @@ class VScalar:
     def __pow__(self, k: int) -> "VScalar":
         if k < 0:
             return self.inverse() ** (-k)
-        out = ONE
-        base = self
+        out, base = ONE, self
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- comparison / hashing -------------------------------------------------

@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from qball.algebras import bidegree, boundary_algebra, matrix_algebra, pol_algebra
 from qball.kernels import poisson_space
 from qball import ncpoly
-from qball.ncpoly import (Algebra, Generator, NCPoly, RewriteLimitExceeded,
-                          UnknownGeneratorError, add_terms, normalize,
-                          overlap_residuals)
+from qball.ncpoly import (MAX_REWRITE_STEPS, Algebra, Generator, NCPoly,
+                          RewriteLimitExceeded, UnknownGeneratorError,
+                          add_terms, normalize, overlap_residuals)
 from qball.scalars import ONE, qpow
 
 ALGEBRAS = lambda: [pol_algebra(1), pol_algebra(2),
@@ -90,6 +91,73 @@ def test_rewrite_budget_is_per_input_word(monkeypatch):
     assert got.terms == {(0, 0, 1, 1): qpow(4) + qpow(4), (0, 1): q}
     with pytest.raises(RewriteLimitExceeded):
         normalize(alg, [((1, 1, 1, 0, 0), ONE)])
+
+
+def _normalize_rescan(alg, terms):
+    """The normalizer as it was before the descent search resumed: every
+    word popped is searched for its left-most descent from position 0."""
+    ngens = len(alg.gens)
+    pending = []
+    for w, c in terms:
+        for g in w:
+            if not 0 <= g < ngens:
+                raise UnknownGeneratorError(f"code {g} not in {alg.name}")
+        if not c.is_zero():
+            pending.append((c, w))
+    budget = MAX_REWRITE_STEPS * len(pending)
+    pending.reverse()
+    acc: dict = {}
+    steps = 0
+    while pending:
+        c, w = pending.pop()
+        pos = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), -1)
+        if pos < 0:
+            add_terms(acc, ((w, c),))
+            continue
+        steps += 1
+        if steps > budget:
+            raise RewriteLimitExceeded(
+                f"{alg.name}: rewrite budget exhausted (non-terminating table?)")
+        head, tail = w[:pos], w[pos + 2:]
+        for rc, rw in alg.pair_rule(w[pos], w[pos + 1]):
+            pending.append((c * rc, head + rw + tail))
+    return NCPoly(alg, acc)
+
+
+def _resume_inputs():
+    for alg in (pol_algebra(2), boundary_algebra(2), matrix_algebra(2, 4)):
+        for k in range(5):
+            for w in product(range(alg.ngens()), repeat=k):
+                yield alg, w
+    alg, rng = pol_algebra(3), random.Random(1904)
+    for _ in range(400):
+        yield alg, _random_word(rng, alg, 8)
+
+
+def test_resumed_descent_search_matches_the_rescan_reference(monkeypatch):
+    # every word of length <= 4 over three n = 2 algebras and random words
+    # of length <= 8 over pol_algebra(3): the same terms, in the same
+    # order, from the same number of rewrites (pair_rule calls)
+    calls = [0]
+    pair_rule = Algebra.pair_rule
+
+    def counting(alg, g, h):
+        calls[0] += 1
+        return pair_rule(alg, g, h)
+
+    monkeypatch.setattr(Algebra, "pair_rule", counting)
+    inputs = steps = 0
+    for alg, w in _resume_inputs():
+        terms = [(w, qpow(1))]
+        calls[0] = 0
+        want = _normalize_rescan(alg, terms)
+        want_calls, calls[0] = calls[0], 0
+        got = normalize(alg, terms)
+        assert list(got.terms.items()) == list(want.terms.items()), (alg.name, w)
+        assert calls[0] == want_calls, (alg.name, w)
+        inputs, steps = inputs + 1, steps + want_calls
+    assert inputs == 3 * sum(8 ** k for k in range(5)) + 400
+    assert steps > inputs
 
 
 def test_unit_and_centrality_of_det2():

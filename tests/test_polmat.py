@@ -295,3 +295,15 @@ def test_gl_equality_by_cross_multiplication():
     det = qdet(alg, n, cls="z")
     a = GLnElement(n, det * det, 2)
     assert a == GLnElement.one(n)
+
+
+def test_det_star_scale_raises_when_star_det_has_the_wrong_shape(monkeypatch):
+    # with star(det_q) = det_q, star(det_q) det_q is det_q^2, not a scalar;
+    # the shape check must raise, also under python -O
+    monkeypatch.setattr(GLnElement, "star", lambda self: self)
+    polmat._det_star_scale.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="not a scalar multiple"):
+            polmat._det_star_scale(2)
+    finally:
+        polmat._det_star_scale.cache_clear()

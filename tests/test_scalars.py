@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -150,6 +151,77 @@ def test_laurent_and_unit_monomial_operands_skip_the_gcd_route(monkeypatch):
     fraction = next(x for x in grid if x.den != (1,))
     with pytest.raises(AssertionError, match="_canonicalise"):
         fraction + fraction
+
+
+def test_powers_equal_repeated_multiplication():
+    grid = _grid()
+    assert any(x.den == (1,) for x in grid) and any(x.den != (1,) for x in grid)
+    for x in grid:
+        for k in range(-5, 6):
+            want, step = ONE, (x if k >= 0 else x.inverse())
+            for _ in range(abs(k)):
+                want = want * step
+            got = x ** k
+            assert (got.shift, got.num, got.den) == (want.shift, want.num, want.den)
+            assert_canonical(got)
+
+
+def test_powers_square_only_while_bits_remain(monkeypatch):
+    # x ** k makes one squaring per bit after the lowest and one product per
+    # set bit; squaring after the last bit built a discarded x^(2^(m+1))
+    calls = []
+    mul = VScalar.__mul__
+
+    def counting(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(VScalar, "__mul__", counting)
+    x = (ONE + Q).inverse()
+    for k in range(1, 17):
+        calls.clear()
+        x ** k
+        assert len(calls) == k.bit_length() - 1 + bin(k).count("1"), k
+
+
+def _pdiv_exact_fraction(a, b):
+    """The exact division over Fraction that the integer one replaced."""
+    if not a:
+        return ()
+    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    r = [Fraction(x) for x in a]
+    lb = Fraction(b[-1])
+    for k in range(len(a) - len(b), -1, -1):
+        c = r[k + len(b) - 1] / lb
+        q[k] = c
+        if c:
+            for i, y in enumerate(b):
+                r[k + i] -= c * y
+    assert all(x == 0 for x in r), "non-exact polynomial division"
+    assert all(x.denominator == 1 for x in q)
+    return scalars._ptrim([int(x) for x in q])
+
+
+def test_integer_exact_division_matches_the_fraction_one_on_a_grid():
+    # every integer polynomial of degree <= 3 with coefficients in -2..2
+    polys = sorted({scalars._ptrim(list(c)) for c in product(range(-2, 3), repeat=4)})
+    assert len(polys) == 5 ** 4
+    for b in polys[1:]:
+        for a in polys:
+            ab = scalars._pmul(a, b)
+            assert scalars._pdiv_exact(ab, b) == _pdiv_exact_fraction(ab, b) == a
+
+
+@pytest.mark.parametrize("a, b", [
+    ((1, 0, 1), (1, 1)),      # v^2 + 1 by v + 1: remainder 2
+    ((3,), (2,)),             # a non-integral constant quotient
+    ((1, 2), (0, 2)),         # (1 + 2v) / 2v: remainder 1
+    ((1, 1), (1, 0, 1)),      # divisor of higher degree
+    ((2, 3, 1), (1, 2)),      # (1 + v)(2 + v) by 1 + 2v
+])
+def test_non_exact_division_raises(a, b):
+    with pytest.raises(ArithmeticError, match="non-exact"):
+        scalars._pdiv_exact(a, b)
 
 
 def test_constants_match_the_power_helpers():
