@@ -19,12 +19,13 @@ Truncation drops words whose bidegree exceeds the cutoff box in either
 coordinate on either leg and raises the sticky ``truncated`` flag.  The
 pipeline orders products so that contributions to components inside the box
 never route through dropped terms.  Before the y-substitution, z-blocks only
-ever grow to the left of z*-blocks.  The substitution multiplies by y on the
-left one factor at a time, splitting each product into a z-block and a
-z*-block by the q-normality of y, and skips the parts outside the box, which
-is exact because left multiplication by y never lowers the z-count or the
-z*-count of a word (see :func:`substitute_x_inverse`).  So in-box components
-of the Poisson kernel are exact.
+ever grow to the left of z*-blocks.  The substitution forms the in-box part
+Y_m of y^m once per power m, by m left multiplications by y each cut to the
+box, and applies it to a word by the q-normality of y^m, which splits the
+product into a z-block and a z*-block; the parts outside the box are
+skipped.  Both cuts are exact because left multiplication by y never lowers
+the z-count or the z*-count of a word (see :func:`substitute_x_inverse`).
+So in-box components of the Poisson kernel are exact.
 
 Products apply the box before ``normalize`` where that keeps the flag.
 For Wick words of bidegree (a, b) and (c, d), every term of the normal
@@ -436,9 +437,12 @@ def _minor_data(n: int, J: tuple):
     return A, U, Jc, len(A)
 
 
+@lru_cache(maxsize=None)
 def build_L(n: int, cutoff: int) -> Kernel:
     """The invariant kernel with first-leg z-minors and second-leg starred
-    zeta-minors; the J = {n+1..2n} term is the monomial prefactor t x tau*."""
+    zeta-minors; the J = {n+1..2n} term is the monomial prefactor t x tau*.
+    Built once per (n, cutoff) for the ``invariance`` and ``poisson``
+    suites and the Poisson build, as is :func:`build_Lbar`."""
     sp = poisson_space(n, cutoff)
 
     def term(J):
@@ -450,6 +454,7 @@ def build_L(n: int, cutoff: int) -> Kernel:
     return sp.sum(map(term, subsets_k(range(1, 2 * n + 1), n)))
 
 
+@lru_cache(maxsize=None)
 def build_Lbar(n: int, cutoff: int) -> Kernel:
     sp = poisson_space(n, cutoff)
 
@@ -504,40 +509,39 @@ def substitute_x_inverse(k: Kernel) -> Kernel:
     Sound because t^-1 t*^-1 is the image of y inside the localized algebra;
     afterwards every term has zero first-leg powers.
 
-    y^m is never formed: each first-leg word w1 is multiplied on the left
-    by y m times.  y is q-normal (y z = q^2 z y, y z* = q^-2 z* y, checked
-    in the tests), so for a Wick word w = z^A z*^B
+    y is q-normal (y z = q^2 z y, y z* = q^-2 z* y, checked in the tests),
+    so for a Wick word w = z^A z*^B and the terms c_PQ z^P z*^Q of y^m
 
-        y w = q^{2|A|} z^A y z*^B = q^{2|A|} sum c_PQ (z^A z^P)(z*^Q z*^B)
+        y^m w = q^{2m|A|} z^A y^m z*^B
+              = q^{2m|A|} sum c_PQ (z^A z^P)(z*^Q z*^B).
 
-    over the terms c_PQ z^P z*^Q of the full y.  Only same-class rules
-    rewrite a bracket, and they keep its class and length (checked in the
-    tests), so a y term gives only words of bidegree (|A| + |P|, |Q| + |B|),
-    Wick-normal as they stand.  A y term that puts either count above the
-    cutoff D is skipped before any normalization.  The counts never fall
-    below those of w, so a skipped word could only feed words outside the
-    box later, and each step keeps exactly the in-box part of y^i w1.
+    Only same-class rules rewrite a bracket, and they keep its class and
+    length (checked in the tests), so a term of y^m gives only words of
+    bidegree (|A| + |P|, |Q| + |B|), Wick-normal as they stand, and only the
+    in-box part Y_m of y^m reaches the box.  Y_m is formed once per power m
+    by m left multiplications by y through the same block product, each cut
+    to the box.  The cut is exact because left multiplication by y never
+    lowers either count, so a cut word feeds only words outside the box.
+    The terms of Y_m are grouped by (|P|, |Q|), and a group that puts
+    either count above the cutoff D is skipped before any normalization.
     Bracket normal forms are memoised per word in a dict local to the call.
 
-    ``truncated`` is set when a y term is skipped, which happens exactly
-    when y^m w1 has a nonzero term outside the box, what the flag means
-    elsewhere.  The terms of y have bidegree (j, j), j <= n, the top one
-    being +-det_q(z) det_q(z)*, so for w1 of bidegree (c, d) the top term
-    of y w1 is +-q^{2c} z^A det_q(z) det_q(z)* z*^B != 0 at (c + n, d + n),
-    and y^m w1 leaves the box exactly when max(c, d) + m n > D.  A word
-    reached after i steps has max bidegree <= max(c, d) + i n, and a skip
-    on it needs that plus n above D, so a skip implies max(c, d) + m n > D.
-    Conversely, the first step i with max(c, d) + (i + 1) n > D follows
-    steps that skip nothing, so it holds the top term of y^i w1 and skips
-    the top term of y on it.
+    ``truncated`` is set when a word of some y^i, i <= m, is cut or a group
+    of Y_m is skipped, which happens exactly when y^m w has a nonzero term
+    outside the box, what the flag means elsewhere.  The terms of y have
+    bidegree (j, j), j <= n, the top one being +-det_q(z) det_q(z)*, so for
+    w of bidegree (c, d) the block product gives the part of y^i w at
+    (c + i n, d + i n) as +-q^{2ic} z^A det_q(z)^i det_q(z)*^i z*^B, which is
+    nonzero (C[Mat_n]_q is a domain) and bounds every other term.  So y^m w
+    leaves the box exactly when max(c, d) + m n > D.  Every word of y^i
+    has counts <= i n, so a cut or a skip implies max(c, d) + m n > D.
+    Conversely, if m n > D, the first i with i n > D cuts the top term of y
+    on the top term of y^(i-1), which nothing cut before; otherwise Y_m is
+    all of y^m, and its top group is skipped on w.
     """
     sp = k.space
     alg = sp.leg1.alg
     D = sp.cutoff
-    y_terms = []
-    for w, c in y_element(sp.n).terms.items():
-        j = bidegree(alg, w)[0]
-        y_terms.append((w[:j], w[j:], c))
     blocks: dict = {}
 
     def block(w):
@@ -547,28 +551,53 @@ def substitute_x_inverse(k: Kernel) -> Kernel:
             hit = blocks[w] = list(alg.monomial(w).terms.items())
         return hit
 
+    def grouped(terms: dict) -> list:
+        """[((|P|, |Q|), [(P, Q, c), ...])] for the terms c z^P z*^Q."""
+        groups: dict = {}
+        for w, c in terms.items():
+            j, i = bidegree(alg, w)
+            groups.setdefault((j, i), []).append((w[:j], w[j:], c))
+        return list(groups.items())
+
+    def times(groups: list, m: int, w: tuple, c: VScalar):
+        """The in-box part of Y c w, for Y = Y_m given by its groups, and
+        whether a group was skipped."""
+        j, i = bidegree(alg, w)
+        A, B = w[:j], w[j:]
+        c = c * qpow(2 * m * j)
+        out: dict = {}
+        skipped = False
+        for (p, r), terms in groups:
+            if j + p > D or r + i > D:
+                skipped = True
+                continue
+            for P, Q, cy in terms:
+                cp = c * cy
+                add_terms(out, ((wz + ws, cp * cz * cs)
+                                for wz, cz in block(A + P)
+                                for ws, cs in block(Q + B)))
+        return out, skipped
+
+    y = grouped(y_element(sp.n).terms)
+    powers = [(grouped({(): ONE}), False)]   # (groups of Y_m, whether cut)
     acc: dict = {}
     truncated = k.truncated
     for (a, b, c, d, w1, w2), coeff in k.terms.items():
         if a != b or a > 0:
             raise PowerSignatureError(
                 f"first-leg powers ({a},{b}) are not a balanced inverse pair")
-        u = {w1: coeff}
-        for _ in range(-a):
-            nxt: dict = {}
-            for w, cw in u.items():
-                j = bidegree(alg, w)[0]
-                A, B = w[:j], w[j:]
-                cw = cw * qpow(2 * j)
-                for P, Q, cy in y_terms:
-                    if j + len(P) > D or len(Q) + len(B) > D:
-                        truncated = True
-                        continue
-                    cp = cw * cy
-                    add_terms(nxt, ((wz + ws, cp * cz * cs)
-                                    for wz, cz in block(A + P)
-                                    for ws, cs in block(Q + B)))
-            u = nxt
+        while len(powers) <= -a:
+            ym: dict = {}
+            prev, cut = powers[-1]
+            for _, terms in prev:
+                for P, Q, cy in terms:
+                    u, skipped = times(y, 1, P + Q, cy)
+                    add_terms(ym, u.items())
+                    cut = cut or skipped
+            powers.append((grouped(ym), cut))
+        groups, cut = powers[-a]
+        u, skipped = times(groups, -a, w1, coeff)
+        truncated = truncated or cut or skipped
         add_terms(acc, (((0, 0, c, d, wp, w2), cp) for wp, cp in u.items()))
     return Kernel(sp, acc, truncated)
 

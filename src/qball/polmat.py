@@ -25,9 +25,10 @@ from .scalars import ONE, VScalar, neg_qpow, qpow
 # the element y = 1 + sum_k (-1)^k sum_{J', J''} minor (minor)^*
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def y_element(n: int) -> NCPoly:
     """1 + sum over k of (-1)^k sums of z-minors times their stars; the
-    classical limit is det(1 - z z*)."""
+    classical limit is det(1 - z z*).  Formed once per n."""
     alg = pol_algebra(n)
     acc = {(): ONE}
     rng = range(1, n + 1)

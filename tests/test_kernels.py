@@ -9,10 +9,11 @@ from qball import kernels
 from qball.algebras import (STAR_CLASSES, bidegree, boundary_algebra,
                             matrix_algebra, pol_algebra)
 from qball.boundary import N1Boundary, nu_n1
+from qball.cli import main
 from qball.kernels import (CutoffMismatchError, Kernel, PowerSignatureError,
                            act_leg, build_L, build_Lbar, check_invariant,
-                           kinverse, poisson_integral_n1, poisson_kernel,
-                           poisson_space, substitute_x_inverse)
+                           inverse_kernels, kinverse, poisson_integral_n1,
+                           poisson_kernel, poisson_space, substitute_x_inverse)
 from qball.ncpoly import Algebra, NCPoly, add_terms
 from qball.polmat import y_element
 from qball.scalars import ONE, VScalar, qpow, vpow
@@ -280,6 +281,57 @@ def test_substitute_x_inverse_matches_y_power_reference(case):
     assert got.truncated == expect.truncated
     if not case.startswith("pipeline"):
         assert got.truncated == (case == "leaves-box")
+
+
+def _substitute_per_step(k):
+    """Reference: each first-leg word w1 is multiplied on the left by y m
+    times, one y term at a time through the block product, and cut to the
+    box after each step; the flag is raised when a y term is skipped."""
+    sp = k.space
+    alg, D = sp.leg1.alg, sp.cutoff
+    y_terms = []
+    for w, c in y_element(sp.n).terms.items():
+        j = bidegree(alg, w)[0]
+        y_terms.append((w[:j], w[j:], c))
+    acc, truncated = {}, k.truncated
+    for (a, b, c, d, w1, w2), coeff in k.terms.items():
+        u = {w1: coeff}
+        for _ in range(-a):
+            nxt = {}
+            for w, cw in u.items():
+                j = bidegree(alg, w)[0]
+                A, B = w[:j], w[j:]
+                cw = cw * qpow(2 * j)
+                for P, Q, cy in y_terms:
+                    if j + len(P) > D or len(Q) + len(B) > D:
+                        truncated = True
+                        continue
+                    add_terms(nxt, ((wz + ws, cw * cy * cz * cs)
+                                    for wz, cz in alg.monomial(A + P).terms.items()
+                                    for ws, cs in alg.monomial(Q + B).terms.items()))
+            u = nxt
+        add_terms(acc, (((0, 0, c, d, wp, w2), cp) for wp, cp in u.items()))
+    return Kernel(sp, acc, truncated)
+
+
+@pytest.mark.parametrize("case", ["pipeline-1-6", "pipeline-2-1", "pipeline-2-2",
+                                  "pipeline-2-3", "pipeline-3-1", "in-box",
+                                  "leaves-box", "in-box-flagged",
+                                  "leaves-box-flagged"])
+def test_substitute_x_inverse_matches_the_per_step_reference(case):
+    # the powers Y_m of y, formed once and applied by group, against m
+    # box-cut left multiplications by y for each word
+    if case.startswith("pipeline"):
+        n, D = map(int, case.split("-")[1:])
+        k = poisson_space(n, D).power_term(0, 0, n, n) * inverse_kernels(n, D)[1]
+    else:
+        k = _hand_built(case.startswith("leaves-box"))
+        k = Kernel(k.space, k.terms, case.endswith("flagged"))
+    got, expect = substitute_x_inverse(k), _substitute_per_step(k)
+    assert got.terms == expect.terms
+    assert got.truncated == expect.truncated
+    if not case.startswith("pipeline"):
+        assert got.truncated == (case != "in-box")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -791,6 +843,8 @@ def _kernel_hash(P) -> str:
     (3, 1, "2a66cfc790a3", 109),
     (3, 2, "cc4889fdc719", 6473),
     (4, 1, "61e1880149ee", 305),
+    (4, 2, "721e98b7bb0d", 56697),
+    (5, 1, "a8aa50e38c29", 701),
 ])
 def test_poisson_kernel_golden_hash(n, D, digest, terms):
     P = poisson_kernel(n, D)
@@ -813,6 +867,24 @@ def test_poisson_suite_and_build_share_the_inverse_kernels(monkeypatch):
     monkeypatch.setattr(Kernel, "__mul__", counted)
     assert [run_suite(s, 2, 2).status for s in ("poisson", "p11")] == ["PASS"] * 2
     assert len(calls) <= 22
+
+
+def test_verify_all_builds_L_and_Lbar_once(monkeypatch, tmp_path):
+    # the invariance and poisson suites and the Poisson build share one L
+    # and one Lbar at (2, 2), each built from C(4, 2) = 6 pairs of minors
+    for cached in (kernels.build_L, kernels.build_Lbar, kernels.inverse_kernels,
+                   kernels._raw_poisson, kernels._normalized_poisson):
+        cached.cache_clear()
+    calls = []
+    real = kernels.qminor
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(kernels, "qminor", counted)
+    assert main(["verify", "--suite", "all", "--n", "2", "--cutoff", "2",
+                 "--output", str(tmp_path / "all.json")]) == 0
+    assert len(calls) == 2 * (2 * 6)
 
 
 def test_poisson_cache_ignores_argument_spelling():

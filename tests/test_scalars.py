@@ -203,13 +203,20 @@ def _pdiv_exact_fraction(a, b):
 
 
 def test_integer_exact_division_matches_the_fraction_one_on_a_grid():
-    # every integer polynomial of degree <= 3 with coefficients in -2..2
+    # every integer polynomial of degree <= 3 with coefficients in -2..2:
+    # a b / b gives a back on all 390,000 pairs; the Fraction reference runs
+    # on the sub-grid of coefficients in (-2, 0, 1), which has leading
+    # coefficients of both signs, unit and not, and gaps
     polys = sorted({scalars._ptrim(list(c)) for c in product(range(-2, 3), repeat=4)})
     assert len(polys) == 5 ** 4
+    sub = {scalars._ptrim(list(c)) for c in product((-2, 0, 1), repeat=4)}
+    assert len(sub) == 3 ** 4
     for b in polys[1:]:
         for a in polys:
             ab = scalars._pmul(a, b)
-            assert scalars._pdiv_exact(ab, b) == _pdiv_exact_fraction(ab, b) == a
+            assert scalars._pdiv_exact(ab, b) == a
+            if a in sub and b in sub:
+                assert _pdiv_exact_fraction(ab, b) == a
 
 
 @pytest.mark.parametrize("a, b", [

@@ -2,9 +2,10 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from qball import uqact
-from qball.algebras import matrix_algebra, pol_algebra, star_class, star_poly
-from qball.ncpoly import Generator, NCPoly, normalize
+from qball import reports, suites, uqact
+from qball.algebras import (boundary_algebra, matrix_algebra, pol_algebra,
+                            star_class, star_poly)
+from qball.ncpoly import Generator, NCPoly, normalize, overlap_residuals
 from qball.scalars import ONE, VScalar, qpow, vpow
 from qball.uqact import (MatrixActionTables, UqGen, act, act_word,
                          antipode, boundary_tables, chevalley_gens,
@@ -368,6 +369,50 @@ def test_rewritten_checks_match_their_references_on_a_corrupted_table(
     if mk is not rect_tables:  # the rectangular algebra has no star
         assert (star_compat_residuals(t, words)
                 == _star_compat_by_expression(t, words))
+
+
+def _action_labels_in_full(n):
+    """The labels of the action suite with every table checked on its own."""
+    labels = [f"{tag}:{k}" for tag, mk in (("pol", pol_tables), ("rect", rect_tables),
+                                           ("boundary", boundary_tables))
+              for k, _ in module_algebra_residuals(mk(n))]
+    t = pol_tables(n)
+    words = _generator_words(t)
+    labels += [f"op:{k}" for k, _ in operator_relation_residuals(t, words)]
+    return labels + [f"starcompat:{g}:{w}"
+                     for (g, w), _ in star_compat_residuals(t, words)]
+
+
+@pytest.mark.parametrize("both", [True, False], ids=["pol-and-boundary", "boundary"])
+def test_action_suite_labels_match_the_full_computation(monkeypatch, both):
+    # the boundary check reuses Pol's residuals only while the two
+    # presentations agree code for code: the same corrupted E entry in both
+    # keeps them equal, a corrupted boundary entry alone does not
+    monkeypatch.setattr(reports, "RESIDUAL_SAMPLE_LIMIT", 10 ** 6)
+    for mk, cls in ((pol_tables, "z"), (boundary_tables, "zeta"))[1 - both:]:
+        _corrupt(monkeypatch, mk, "E", cls, 2, 1)
+    assert suites._boundary_is_pol(2) == both
+    full = _action_labels_in_full(2)
+    assert any(label.startswith("boundary:") for label in full)
+    rep = run_suite("action", 2, 1)
+    assert (rep.residual_sample, rep.residual_count) == (full, len(full))
+
+
+@pytest.mark.parametrize("both", [True, False], ids=["pol-and-boundary", "boundary"])
+def test_confluence_suite_labels_match_the_full_computation(monkeypatch, both):
+    # as above for the rewrite tables: z[1,2] z[1,1] = q^-1 z[1,1] z[1,2]
+    # and its zeta twin, scaled by q
+    monkeypatch.setattr(reports, "RESIDUAL_SAMPLE_LIMIT", 10 ** 6)
+    pol_tables(2), boundary_tables(2)  # built from the true rules
+    algs = (pol_algebra(2), boundary_algebra(2), matrix_algebra(2, 4))
+    for alg in algs[1 - both:2]:
+        monkeypatch.setitem(alg._pair_cache, (1, 0),
+                            [(c * qpow(1), w) for c, w in alg.pair_rule(1, 0)])
+    assert suites._boundary_is_pol(2) == both
+    full = [f"{alg.name}:{t}" for alg in algs for t, _ in overlap_residuals(alg)]
+    assert any(label.startswith(f"{algs[1].name}:") for label in full)
+    rep = run_suite("confluence", 2, 1)
+    assert (rep.residual_sample, rep.residual_count) == (full, len(full))
 
 
 @pytest.mark.parametrize("mk", [pol_tables, boundary_tables, rect_tables])
