@@ -119,16 +119,19 @@ def verify_hua_theorem_n1(fs: list, xi_words: list, cutoff: int) -> list:
     through ``Kernel.act`` and the Hua sums are multiples of 1 on the
     second leg.  Returns [((f index, xi reprs, system), sum)].  The (1,1)
     extraction needs components up to (1 + |xi|, 1 + |xi|), so a word
-    with 1 + |xi| > cutoff reads a truncated component.
+    with 1 + |xi| > cutoff reads a truncated component.  The value of every
+    suffix of xi on P f is formed once per f and kept in ``acted``, so
+    words that share a suffix share its value (as ``uqact._suffix_value``).
     """
     P = poisson_kernel(1, cutoff)
     out = []
     for fi, f in enumerate(fs):
-        u = poisson_integral_n1(P, f)
+        acted = {(): poisson_integral_n1(P, f)}
         for xi in xi_words:
-            v = u
-            for g in reversed(xi):
-                v = v.act(g)
+            for j in range(len(xi) - 1, -1, -1):
+                if xi[j:] not in acted:
+                    acted[xi[j:]] = acted[xi[j + 1:]].act(xi[j])
+            v = acted[xi]
             key = (fi, tuple(map(repr, xi)))
             groups = first_leg_groups(v)
             out += [(key + ("A",), hua_sum_A(v, 1, 1, 1, groups=groups)),

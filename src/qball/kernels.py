@@ -247,7 +247,10 @@ class Kernel:
                       self.truncated or other.truncated)
 
     def __sub__(self, other: "Kernel") -> "Kernel":
-        return self + other.scale(-ONE)
+        self._check(other)
+        negated = ((k, -x) for k, x in other.terms.items())
+        return Kernel(self.space, add_terms(dict(self.terms), negated),
+                      self.truncated or other.truncated)
 
     def scale(self, c) -> "Kernel":
         c = VScalar.coerce(c)

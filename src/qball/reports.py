@@ -1,27 +1,29 @@
 """Verification reports and their JSON form.
 
-The JSON field order is fixed and byte-deterministic for fixed inputs;
-``wall_ms`` is informational and excluded from determinism guarantees.
+A :class:`Report` is one suite's verdict at one (n, cutoff) point.
+``to_dict`` fixes the JSON field order, so a report is byte-deterministic
+for fixed inputs; ``wall_ms`` is informational and excluded from that
+guarantee.  ``Report`` is a plain class, not a dataclass: importing
+``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and eight more modules
+at every ``qball`` start-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 RESIDUAL_SAMPLE_LIMIT = 8
 
 
-@dataclass
 class Report:
-    suite: str
-    n: int
-    cutoff: int
-    status: str = "PASS"           # PASS | FAIL | SKIPPED
-    residual_count: int = 0
-    residual_sample: list = field(default_factory=list)
-    truncated: bool = False
-    wall_ms: int = 0
-    note: str = ""
+    def __init__(self, suite: str, n: int, cutoff: int):
+        self.suite = suite
+        self.n = n
+        self.cutoff = cutoff
+        self.status = "PASS"           # PASS | FAIL | SKIPPED
+        self.residual_count = 0
+        self.residual_sample = []
+        self.truncated = False
+        self.wall_ms = 0
+        self.note = ""
 
     def fail(self, residuals: list):
         self.residual_count += len(residuals)

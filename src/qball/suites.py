@@ -167,10 +167,15 @@ def suite_poisson(rep: Report, n: int, cutoff: int):
         P = poisson_kernel(1, D)
         checks.append(("P(1) - 1",
                        poisson_integral_n1(P, N1Boundary.one()) - sp.unit()))
-        # telescoping partial sums of z^k (1 - z z*) z*^k
+        # telescoping partial sums of z^k (1 - z z*) z*^k, with z^k and
+        # z*^k formed one step at a time
         z, zs = a1.gen("z", 1, 1), a1.gen("zs", 1, 1)
         y = a1.one() - z * zs
-        tele = a1.sum(z ** k * y * zs ** k for k in range(D + 1))
+        zk, zsk = [a1.one()], [a1.one()]
+        for _ in range(D):
+            zk.append(zk[-1] * z)
+            zsk.append(zsk[-1] * zs)
+        tele = a1.sum(zk[k] * y * zsk[k] for k in range(D + 1))
         resid = tele - a1.one()
         high_ok = all(min(*bidegree(a1, w)) > D for w in resid.terms)
         checks.append(("telescoping-tail", resid if not high_ok else a1.zero()))

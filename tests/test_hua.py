@@ -8,7 +8,7 @@ from qball.classical import classical_kernel, classical_p11
 from qball.hua import (d2_at_zero_kernel, first_leg_groups, generator_words,
                        hua_sum_A, hua_sum_B, match_up_to_scalar, p11_formula_kernel,
                        p11_scalar, verify_hua_kernel, verify_hua_theorem_n1)
-from qball.kernels import Kernel, poisson_kernel, poisson_space
+from qball.kernels import Kernel, poisson_integral_n1, poisson_kernel, poisson_space
 from qball.ncpoly import NCPoly, add_terms
 from qball.scalars import ONE, qpow
 from qball.suites import run_suite
@@ -135,6 +135,57 @@ def test_hua_theorem_n1_full_family():
     assert all(r.is_zero() for _, r in res), res
     # the extraction reads components up to (1 + |xi|, 1 + |xi|) <= (3, 3)
     assert not run_suite("hua-theorem-n1", 1, 4).truncated
+
+
+def _hua_theorem_n1_unshared(fs, xi_words, cutoff, seen):
+    """The integral-level check with every word applied from scratch; each
+    acted kernel is appended to ``seen``."""
+    P = poisson_kernel(1, cutoff)
+    out = []
+    for fi, f in enumerate(fs):
+        u = poisson_integral_n1(P, f)
+        for xi in xi_words:
+            v = u
+            for g in reversed(xi):
+                v = v.act(g)
+            seen.append(v)
+            key = (fi, tuple(map(repr, xi)))
+            groups = first_leg_groups(v)
+            out += [(key + ("A",), hua_sum_A(v, 1, 1, 1, groups=groups)),
+                    (key + ("B",), hua_sum_B(v, 1, 1, 1, groups=groups))]
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [3, 6])
+def test_hua_theorem_n1_shares_suffixes_and_matches_the_unshared_loop(
+        cutoff, monkeypatch):
+    fs = [N1Boundary.one(), N1Boundary.zeta(1), N1Boundary.zeta(2),
+          N1Boundary.zeta(-1)]
+    words = generator_words(1, 2)
+    expect_seen = []
+    expect = _hua_theorem_n1_unshared(fs, words, cutoff, expect_seen)
+    seen, acts = [], []
+    real_sum_A, real_act = hua.hua_sum_A, Kernel.act
+
+    def recording_sum_A(v, *args, **kw):
+        seen.append(v)
+        return real_sum_A(v, *args, **kw)
+
+    def counted_act(self, g):
+        acts.append(g)
+        return real_act(self, g)
+
+    monkeypatch.setattr(hua, "hua_sum_A", recording_sum_A)
+    monkeypatch.setattr(Kernel, "act", counted_act)
+    got = verify_hua_theorem_n1(fs, words, cutoff)
+    monkeypatch.undo()
+    assert [label for label, _ in got] == [label for label, _ in expect]
+    assert all(r == e for (_, r), (_, e) in zip(got, expect))
+    # the acted kernels themselves, not only their (vanishing) Hua sums
+    assert [(v.terms, v.truncated) for v in seen] == \
+        [(v.terms, v.truncated) for v in expect_seen]
+    # one act per nonempty suffix and boundary function: 4 x 20, not 4 x 36
+    assert len(acts) == len(fs) * (len(words) - 1)
 
 
 def test_p11_matches_displayed_form():

@@ -6,6 +6,9 @@ import or a helper left behind when the code using it is deleted.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,14 @@ def test_unreferenced_definition_finder():
 def test_every_definition_is_referenced():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_definitions(sources) == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """``import qball.cli`` is every ``qball`` call's start-up; it must not
+    pull in ``dataclasses``, which brings ``inspect``, ``ast`` and ``dis``."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = ("import sys, qball.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -926,6 +926,40 @@ def test_substitute_x_inverse_sums_in_linear_time(monkeypatch):
     assert ncalls <= 10 * len(result.terms)
 
 
+def test_kernel_difference_matches_adding_the_negated_kernel(monkeypatch):
+    sp = poisson_space(1, 3)
+    a1, a2 = sp.leg1.alg, sp.leg2.alg
+    z, zs = a1.gen_code("z", 1, 1), a1.gen_code("zs", 1, 1)
+    zeta = a2.gen_code("zeta", 1, 1)
+    shared = {(0, 0, 0, 0, (z,), (zeta,)): ONE, (1, 0, 0, 0, (), ()): qpow(2)}
+    own = {(0, 1, 0, 0, (z, zs), ()): qpow(-1), (0, 0, 0, 0, (), ()): ONE}
+    other = {(0, 0, 1, 0, (zs,), (zeta,)): ONE - qpow(2)}
+    P = poisson_kernel(1, 3)
+    operands = [Kernel(sp, {**shared, **own}), Kernel(sp, {**shared, **other}),
+                Kernel(sp, {**shared, **own}, truncated=True),
+                Kernel(sp, {**other, **shared}, truncated=True),
+                build_L(1, 3), P, P.scale(qpow(1)), sp.unit(), Kernel(sp, {})]
+    made = []
+    real_init = Kernel.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(1)
+        real_init(self, *args, **kwargs)
+
+    for a in operands:
+        for b in operands:
+            expect = a + b.scale(-ONE)
+            monkeypatch.setattr(Kernel, "__init__", counted_init)
+            got = a - b
+            monkeypatch.undo()
+            assert list(got.terms.items()) == list(expect.terms.items())
+            assert got.truncated == expect.truncated == (a.truncated or b.truncated)
+    assert len(made) == len(operands) ** 2
+    assert (P - P).is_zero() and (P - P).truncated
+    with pytest.raises(CutoffMismatchError):
+        sp.unit() - poisson_space(1, 2).unit()
+
+
 def test_kernel_space_sum():
     sp = poisson_space(1, 2)
     z = sp.from_pair(sp.leg1.alg.gen("z", 1, 1), sp.leg2.alg.one())
