@@ -36,6 +36,7 @@ class ExprError(ValueError):
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([\[\],()*+^/-])|(\S))")
+_KINDS = (None, "int", "name", "sym")
 
 _FAMILY = {"z": "pol", "zs": "pol", "zeta": "boundary", "zetas": "boundary",
            "t": "rect"}
@@ -47,21 +48,16 @@ def scalar_algebra() -> Algebra:
 
 
 def _tokenize(text: str) -> list:
+    # _TOKEN matches wherever non-blank text is left, so finditer yields the
+    # tokens back to back; m.lastindex names the group: int, name, sym, or a
+    # bad character
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            break
-        if m.group(4):
+    for m in _TOKEN.finditer(text):
+        k = m.lastindex
+        if k == 4:
             raise ExprError(f"unexpected character {m.group(4)!r}", m.start(4))
-        if m.group(1):
-            out.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2):
-            out.append(("name", m.group(2), m.start(2)))
-        else:
-            out.append(("sym", m.group(3), m.start(3)))
-        pos = m.end()
+        tok = m.group(k)
+        out.append((_KINDS[k], int(tok) if k == 1 else tok, m.start(k)))
     out.append(("end", "", len(text)))
     return out
 

@@ -7,18 +7,25 @@ by word length, then by generator codes.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .ncpoly import Algebra, NCPoly
+
+
+@lru_cache(maxsize=None)
+def _atom_texts(alg: Algebra) -> tuple:
+    return tuple(f"{g.cls}[{g.i},{g.j}]" for g in alg.gens)
 
 
 def word_text(alg: Algebra, word: tuple) -> str:
     if not word:
         return "1"
+    atoms = _atom_texts(alg)
     parts = []
     run_start = 0
     for k in range(1, len(word) + 1):
         if k == len(word) or word[k] != word[run_start]:
-            g = alg.gens[word[run_start]]
-            atom = f"{g.cls}[{g.i},{g.j}]"
+            atom = atoms[word[run_start]]
             e = k - run_start
             parts.append(atom if e == 1 else f"{atom}^{e}")
             run_start = k

@@ -20,12 +20,39 @@ Canonical forms are unique, so equality and hashing are structural.  Zero is
 stored as ``shift = 0, num = (), den = (1,)``.
 
 Values are immutable and all operations are pure functions.
+
+Products
+--------
+With q = v^2, nearly every numerator is even in v: the odd powers ride in
+the shift, so every other entry of the tuple is zero.  In the seeded
+``normalize --n 2`` benchmark stream, both operands of all 22,086 ``_pmul``
+calls are even, and only 129,345 of the 1,076,542 coefficient pairs that a
+schoolbook loop spans pair two nonzeros.  So ``_pmul`` lists the nonzero
+coefficients of ``b`` once and pairs them with the nonzero ones of ``a``
+only.  The same few operand pairs also come back again and again: that
+stream's 22,086 products use 1,081 distinct pairs, ``verify --suite all`` at
+(3, 3) uses 651 in 1.17 M products, and the (5, 1) ``poisson`` suite 65 in
+1.08 M.  So ``_pmul`` is memoised on both operand tuples.  Sharing a result
+is safe, as tuples are immutable, and it also shares the tuples held by the
+terms of a large kernel: the (3, 3) run peaks at 272 MB instead of 358.
+The memo is bounded (``PMUL_MEMO``) because the distinct operands of a long
+run are unbounded in number, while its hits come from recent products.
+With 128 entries it answers 89.5% of the stream's products (95.1% with no
+bound) and 99.9% of those at (3, 3), with 943 misses against 651 distinct
+pairs.  256 entries answer 92.7% of the stream, but they raised the peak
+RSS of a stream process by about 0.1 MB more than 128 did.  Products with
+the ``ONE`` object return the other operand, and ``_laurent_add`` skips the
+zeros of the numerator it adds in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+
+# entries of the _pmul memo; the module docstring says how it was chosen
+PMUL_MEMO = 128
 
 
 class PoleError(ZeroDivisionError):
@@ -55,13 +82,15 @@ def _pneg(a: tuple) -> tuple:
     return tuple(-x for x in a)
 
 
+@lru_cache(maxsize=PMUL_MEMO)
 def _pmul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return ()
+    nb = [(j, y) for j, y in enumerate(b) if y]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in nb:
                 out[i + j] += x * y
     return _ptrim(out)
 
@@ -242,6 +271,10 @@ class VScalar:
     def __mul__(self, other) -> "VScalar":
         if not isinstance(other, VScalar):
             other = VScalar.coerce(other)
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         a, b = self.num, other.num
         if not a or not b:
             return ZERO
@@ -355,7 +388,8 @@ def _laurent_add(s: int, a: tuple, t: int, b: tuple) -> VScalar:
     if gap > 0:
         out += [0] * gap
     for i, y in enumerate(b, off):
-        out[i] += y
+        if y:
+            out[i] += y
     while out and out[-1] == 0:
         out.pop()
     if not out:

@@ -124,6 +124,77 @@ def _normalize_rescan(alg, terms):
     return NCPoly(alg, acc)
 
 
+def _random_poly(rng, alg, terms, max_len):
+    return alg.sum(alg.monomial(_random_word(rng, alg, max_len), qpow(rng.randint(-2, 2)))
+                   for _ in range(terms))
+
+
+def test_products_start_at_the_junction_and_match_the_rescan_reference(monkeypatch):
+    # w1 and w2 are normal, so the first descent search of w1 + w2 starts at
+    # the last letter of w1; the product gives the same terms, in the same
+    # order, from the same pair_rule calls as rescanning from position 0
+    calls = [0]
+    pair_rule, find_descent = Algebra.pair_rule, ncpoly._find_descent
+
+    def counting(alg, g, h):
+        calls[0] += 1
+        return pair_rule(alg, g, h)
+
+    starts = []
+
+    def recording(w, start=0):
+        starts.append(start)
+        return find_descent(w, start)
+
+    monkeypatch.setattr(Algebra, "pair_rule", counting)
+    rng = random.Random(2204)
+    for alg in ALGEBRAS() + [pol_algebra(3)]:
+        for _ in range(40):
+            a, b = (_random_poly(rng, alg, rng.randint(0, 3), 4) for _ in range(2))
+            calls[0] = 0
+            want = _normalize_rescan(alg, [(w1 + w2, c1 * c2)
+                                           for w1, c1 in a.terms.items()
+                                           for w2, c2 in b.terms.items()])
+            want_calls, calls[0] = calls[0], 0
+            got = a * b
+            assert list(got.terms.items()) == list(want.terms.items()), alg.name
+            assert calls[0] == want_calls, alg.name
+    monkeypatch.setattr(ncpoly, "_find_descent", recording)
+    alg = pol_algebra(2)
+    z, zs = alg.gen("z", 1, 1), alg.gen("zs", 2, 2)
+    for left, right in ((z ** 3, zs), (zs * zs, z * z), (alg.one(), z), (z, alg.one())):
+        (w1,), (w2,) = left.terms, right.terms
+        starts.clear()
+        left * right
+        assert starts[0] == max(len(w1) - 1, 0), (w1, w2)
+
+
+def test_powers_equal_repeated_multiplication(monkeypatch):
+    rng = random.Random(2205)
+    cases = [(alg, _random_poly(rng, alg, t, 3))
+             for alg in (pol_algebra(2), boundary_algebra(2)) for t in (0, 1, 2, 3)]
+    cases.append((pol_algebra(1), pol_algebra(1).scalar(qpow(1) + ONE)))
+    products = [0]
+    mul = NCPoly.__mul__
+
+    def counting(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    for alg, p in cases:
+        want = alg.one()
+        for k in range(5):
+            monkeypatch.setattr(NCPoly, "__mul__", counting)
+            products[0] = 0
+            got = p ** k
+            assert products[0] == max(k - 1, 0)
+            monkeypatch.setattr(NCPoly, "__mul__", mul)
+            assert list(got.terms.items()) == list(want.terms.items()), (alg.name, k)
+            want = want * p
+    with pytest.raises(ValueError):
+        pol_algebra(1).one() ** -1
+
+
 def _resume_inputs():
     for alg in (pol_algebra(2), boundary_algebra(2), matrix_algebra(2, 4)):
         for k in range(5):

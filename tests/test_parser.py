@@ -3,7 +3,10 @@ of its polynomial factors.  The letter-by-letter product rule it replaced is
 kept here as the reference: both must give the same polynomial, and the same
 error at the same position."""
 
+import importlib.util
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -162,3 +165,61 @@ def test_errors_match_the_letter_by_letter_rule(text, n):
         parse_expr(text, n)
     assert str(got.value) == str(want.value)
     assert got.value.pos == want.value.pos
+
+
+# -- the tokenizer -------------------------------------------------------------
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _tokenize_loop(text):
+    """The tokenizer before the single finditer pass: one match per token,
+    each tested group by group."""
+    token = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([\[\],()*+^/-])|(\S))")
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = token.match(text, pos)
+        if not m:
+            break
+        if m.group(4):
+            raise ExprError(f"unexpected character {m.group(4)!r}", m.start(4))
+        if m.group(1):
+            out.append(("int", int(m.group(1)), m.start(1)))
+        elif m.group(2):
+            out.append(("name", m.group(2), m.start(2)))
+        else:
+            out.append(("sym", m.group(3), m.start(3)))
+        pos = m.end()
+    out.append(("end", "", len(text)))
+    return out
+
+
+def _benchmark_streams():
+    spec = importlib.util.spec_from_file_location("qball_bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [e for seed in (0, 1, 2) for e in workloads.expressions(seed, 2)]
+
+
+def test_tokenizer_matches_the_match_loop_on_the_benchmark_streams():
+    texts = _benchmark_streams()
+    assert len(texts) == 6000
+    for text in texts:
+        assert parser._tokenize(text) == _tokenize_loop(text), text
+
+
+@pytest.mark.parametrize("text", [
+    "", "   ", "z[1,1]  ", "\tq^-12 *\n zs[2,1] ", "3/4*v", "007*q",
+    "z[1,1] & 2", "q $", "  #", "3 . 4", "z[1,1]*\u00e9", "\u0663*q", "q\u00a0*v",
+    "zs[1,1]*z[1,2]_", "((q))", "z[1;1]",
+])
+def test_tokenizer_matches_the_match_loop_on_edge_and_bad_inputs(text):
+    try:
+        want = _tokenize_loop(text)
+    except ExprError as e:
+        with pytest.raises(ExprError) as got:
+            parser._tokenize(text)
+        assert (str(got.value), got.value.pos) == (str(e), e.pos)
+    else:
+        assert parser._tokenize(text) == want

@@ -184,6 +184,75 @@ def test_powers_square_only_while_bits_remain(monkeypatch):
         assert len(calls) == k.bit_length() - 1 + bin(k).count("1"), k
 
 
+def _pmul_pairs():
+    """Every pair of tuples of length <= 3 with coefficients in -2..2, then
+    seeded operands up to length 17 whose nonzeros sit at every second or
+    every fourth index, as the even numerators of the kernels do."""
+    small = [c for k in range(4) for c in product(range(-2, 3), repeat=k)]
+    pairs = [(a, b) for a in small for b in small]
+    rng = random.Random(2203)
+    for stride in (2, 4):
+        ops = []
+        for length in range(1, 18):
+            for _ in range(3):
+                ops.append(scalars._ptrim([
+                    rng.randint(-300, 300) if i % stride == 0 else 0
+                    for i in range(length)]))
+        pairs += [(a, b) for a in ops for b in ops]
+    return pairs
+
+
+def test_sparse_memoised_products_match_the_dense_convolution():
+    # cold in input order, then in reverse order, where the first PMUL_MEMO
+    # products come from the memo, then cold in reverse order: a memo keyed
+    # on one operand, or a loop that drops a coefficient of either operand,
+    # gives a wrong product somewhere
+    pairs = _pmul_pairs()
+    assert len(pairs) > 24_000
+    want = [scalars._ptrim(list(_conv(a, b))) for a, b in pairs]
+    cases = list(zip(pairs, want))
+
+    def check(cases):
+        for (a, b), w in cases:
+            got = scalars._pmul(a, b)
+            assert got == w and isinstance(got, tuple), (a, b)
+
+    scalars._pmul.cache_clear()
+    check(cases)
+    assert scalars._pmul.cache_info().hits == 0
+    check(cases[::-1])
+    assert scalars._pmul.cache_info().hits == scalars.PMUL_MEMO
+    scalars._pmul.cache_clear()
+    check(cases[::-1])
+
+
+def test_products_with_one_and_zero_return_an_operand_or_zero():
+    for x in _grid() + [ZERO, ONE, -ONE, V, Q]:
+        assert x * ONE is x
+        assert ONE * x is x
+        assert x * ZERO is ZERO
+        assert ZERO * x is ZERO
+
+
+def test_laurent_sums_with_interior_zeros_match_the_general_route():
+    # numerators with gaps, shifted against each other; with each negated
+    # too, the sum cancels fully, at its low end, at its high end or inside
+    nums = [(1,), (2, 0, 1), (1, 0, 0, -3), (1, 0, 2, 0, 1), (-1, 0, 0, 0, 0, 4)]
+    nums += [scalars._pneg(a) for a in nums]
+    cases = 0
+    for a, b in product(nums, repeat=2):
+        for s, t in product(range(-3, 4), repeat=2):
+            m = min(s, t)
+            total = scalars._padd((0,) * (s - m) + a, (0,) * (t - m) + b)
+            want = VScalar(m, total, (1,))
+            for got in (scalars._laurent_add(s, a, t, b),
+                        VScalar(s, a, (1,)) + VScalar(t, b, (1,))):
+                assert (got.shift, got.num, got.den) == (want.shift, want.num, want.den)
+                assert_canonical(got)
+            cases += not want
+    assert cases >= 10 * 7  # full cancellation happens at every shift
+
+
 def _pdiv_exact_fraction(a, b):
     """The exact division over Fraction that the integer one replaced."""
     if not a:
