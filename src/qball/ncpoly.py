@@ -137,7 +137,7 @@ def add_terms(acc: dict, items: Iterable) -> dict:
     return acc
 
 
-def normalize(alg: Algebra, terms: Iterable, starts: bool = False) -> "NCPoly":
+def normalize(alg: Algebra, terms: Iterable) -> "NCPoly":
     """Normal form of a linear combination of ``(word, coeff)`` pairs with
     ``VScalar`` coefficients, so a product is a single call.
 
@@ -148,19 +148,15 @@ def normalize(alg: Algebra, terms: Iterable, starts: bool = False) -> "NCPoly":
 
     Rewriting at the left-most descent i leaves no descent before i - 1, as
     ``w[:i+1]`` has none and rule words are normal: the search resumes there.
-    With ``starts=True`` the items are ``(word, coeff, start)`` triples, and
-    the caller vouches that ``word`` has no descent before ``start``.
     """
     ngens = len(alg.gens)
     pending = []
-    if not starts:
-        terms = ((w, c, 0) for w, c in terms)
-    for w, c, start in terms:
+    for w, c in terms:
         for g in w:
             if not 0 <= g < ngens:
                 raise UnknownGeneratorError(f"code {g} not in {alg.name}")
         if not c.is_zero():
-            pending.append((c, w, start))
+            pending.append((c, w, 0))
     budget = MAX_REWRITE_STEPS * len(pending)
     pending.reverse()
     acc: dict = {}
@@ -233,12 +229,9 @@ class NCPoly:
         if isinstance(other, (int, VScalar)):
             return self.scale(other)
         self._check(other)
-        # both words are normal, so a descent of w1 + w2 can only start at
-        # the junction, the last letter of w1
-        return normalize(self.alg, ((w1 + w2, c1 * c2, len(w1) - 1 if w1 else 0)
+        return normalize(self.alg, ((w1 + w2, c1 * c2)
                                     for w1, c1 in self.terms.items()
-                                    for w2, c2 in other.terms.items()),
-                         starts=True)
+                                    for w2, c2 in other.terms.items()))
 
     def __rmul__(self, other) -> "NCPoly":
         if isinstance(other, (int, VScalar)):

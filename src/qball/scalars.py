@@ -24,25 +24,15 @@ Values are immutable and all operations are pure functions.
 Products
 --------
 With q = v^2, nearly every numerator is even in v: the odd powers ride in
-the shift, so every other entry of the tuple is zero.  In the seeded
-``normalize --n 2`` benchmark stream, both operands of all 22,086 ``_pmul``
-calls are even, and only 129,345 of the 1,076,542 coefficient pairs that a
-schoolbook loop spans pair two nonzeros.  So ``_pmul`` lists the nonzero
-coefficients of ``b`` once and pairs them with the nonzero ones of ``a``
-only.  The same few operand pairs also come back again and again: that
-stream's 22,086 products use 1,081 distinct pairs, ``verify --suite all`` at
-(3, 3) uses 651 in 1.17 M products, and the (5, 1) ``poisson`` suite 65 in
-1.08 M.  So ``_pmul`` is memoised on both operand tuples.  Sharing a result
-is safe, as tuples are immutable, and it also shares the tuples held by the
-terms of a large kernel: the (3, 3) run peaks at 272 MB instead of 358.
-The memo is bounded (``PMUL_MEMO``) because the distinct operands of a long
-run are unbounded in number, while its hits come from recent products.
-With 128 entries it answers 89.5% of the stream's products (95.1% with no
-bound) and 99.9% of those at (3, 3), with 943 misses against 651 distinct
-pairs.  256 entries answer 92.7% of the stream, but they raised the peak
-RSS of a stream process by about 0.1 MB more than 128 did.  Products with
-the ``ONE`` object return the other operand, and ``_laurent_add`` skips the
-zeros of the numerator it adds in.
+the shift, so every other entry of the tuple is zero.  So ``_pmul`` lists
+the nonzero coefficients of ``b`` once and pairs them with the nonzero ones
+of ``a`` only, and ``_laurent_add`` skips the zeros of the numerator it
+adds in.  A few operand pairs also make up nearly all products, so
+``_pmul`` is memoised on both operand tuples.  Sharing a result is safe, as
+tuples are immutable, and it also shares the tuples held by the terms of a
+large kernel.  The memo is bounded (``PMUL_MEMO``) because the distinct
+operands of a long run are unbounded in number while its hits come from
+recent products, and each entry adds to the peak RSS of a short process.
 """
 
 from __future__ import annotations
@@ -51,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-# entries of the _pmul memo; the module docstring says how it was chosen
+# entries of the _pmul memo; the module docstring says why it is bounded
 PMUL_MEMO = 128
 
 
