@@ -16,7 +16,9 @@ q^{(power sum) * (z-count - z*-count)}, which encodes t z = q^-1 z t and
 t z* = q z* t together with their starred versions.
 
 Truncation drops words whose bidegree exceeds the cutoff box in either
-coordinate on either leg and raises the sticky ``truncated`` flag.  The
+coordinate on either leg and raises the sticky ``truncated`` flag.  The two
+counts of a word sum to its length, so a word no longer than the cutoff is
+inside the box and only longer words are looked up by ``bidegree``.  The
 pipeline orders products so that contributions to components inside the box
 never route through dropped terms.  Before the y-substitution, z-blocks only
 ever grow to the left of z*-blocks.  The substitution forms the in-box part
@@ -38,9 +40,12 @@ With two unflagged operands it keeps every pair, so the flag still says
 exactly whether the full product has a nonzero term outside the box.
 Within a kept pair, a leg product of two normal words whose junction is
 ordered (either word empty, or the last letter of the left word at most the
-first of the right) is its own normal form: normal words are the
-non-decreasing code tuples, and the concatenation is one, so it never
-reaches ``normalize`` (:func:`_leg_product`).
+first of the right, :func:`_ordered`) is its own normal form: normal words
+are the non-decreasing code tuples, and the concatenation is one, so it
+never reaches ``normalize``.  A pair ordered on both legs is added straight
+into the product's dict; only a descending junction goes through
+:func:`_leg_product`.  The scalar q^e of a pair is formed once per distinct
+exponent e in each product, and not at all for e = 0.
 
 ``Kernel`` is the one box-truncated element of the package; the n = 1
 Poisson integral is a kernel with empty second-leg words.  U_q acts across
@@ -49,8 +54,10 @@ the legs by the coproduct (:meth:`Kernel.act`), and on one leg through
 
 Terms are accumulated with ``ncpoly.add_terms``.  A sum of many kernels
 goes through :meth:`KernelSpace.sum`, which adds every summand into one
-dict and constructs the result once, so the bidegree check of
-``Kernel.__init__`` runs once per summand term and once per result term.
+dict and constructs the result once, so the box check of ``Kernel.__init__``
+runs once per summand term and once per result term.  A difference compares
+before it subtracts: a key whose coefficient equals the one subtracted is
+deleted, so a check whose difference is zero does no scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -223,13 +230,14 @@ class Kernel:
         self.space = space
         self.terms = {}
         D = space.cutoff
+        alg1, alg2 = space.leg1.alg, space.leg2.alg
         dropped = False
         for key, c in terms.items():
             if c.is_zero():
                 continue
-            j1, k1 = bidegree(space.leg1.alg, key[4])
-            j2, k2 = bidegree(space.leg2.alg, key[5])
-            if j1 > D or k1 > D or j2 > D or k2 > D:
+            w1, w2 = key[4], key[5]
+            if ((len(w1) > D and max(bidegree(alg1, w1)) > D)
+                    or (len(w2) > D and max(bidegree(alg2, w2)) > D)):
                 dropped = True
                 continue
             self.terms[key] = c
@@ -248,9 +256,16 @@ class Kernel:
 
     def __sub__(self, other: "Kernel") -> "Kernel":
         self._check(other)
-        negated = ((k, -x) for k, x in other.terms.items())
-        return Kernel(self.space, add_terms(dict(self.terms), negated),
-                      self.truncated or other.truncated)
+        terms = dict(self.terms)
+        for k, x in other.terms.items():
+            s = terms.get(k)
+            if s is None:
+                terms[k] = -x
+            elif s == x:
+                del terms[k]
+            else:
+                terms[k] = s - x
+        return Kernel(self.space, terms, self.truncated or other.truncated)
 
     def scale(self, c) -> "Kernel":
         c = VScalar.coerce(c)
@@ -292,8 +307,9 @@ class Kernel:
         would drop.  When neither operand is flagged, every pair is kept,
         because out-of-box terms of different pairs may cancel, and the
         constructor must see them all to decide the flag exactly as for the
-        full product.  Each leg product goes through :func:`_leg_product`,
-        which skips ``normalize`` at an ordered junction.
+        full product.  A pair whose junctions are ordered on both legs
+        (:func:`_ordered`) is added in place; the others go through
+        :func:`_leg_product`.
         """
         self._check(other)
         sp = self.space
@@ -301,6 +317,7 @@ class Kernel:
         alg1, alg2 = sp.leg1.alg, sp.leg2.alg
         truncated = self.truncated or other.truncated
         acc: dict = {}
+        qpows: dict = {}
         rhs = _leg_groups(other).items()
         for (j1, k1, m1, n1), terms1 in _leg_groups(self).items():
             for (j2, k2, m2, n2), terms2 in rhs:
@@ -309,9 +326,28 @@ class Kernel:
                     continue
                 e1, e2 = j2 - k2, m1 - n1
                 for (a1, b1, c1, d1, w1, u1), x1 in terms1:
+                    s1 = (a1 + b1) * e1
                     for (a2, b2, c2, d2, w2, u2), x2 in terms2:
-                        coeff = x1 * x2 * qpow((a1 + b1) * e1 + (c2 + d2) * e2)
+                        coeff = x1 * x2
+                        e = s1 + (c2 + d2) * e2
+                        if e:
+                            q = qpows.get(e)
+                            if q is None:
+                                q = qpows[e] = qpow(e)
+                            coeff = coeff * q
                         key_p = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
+                        if _ordered(w2, w1) and _ordered(u1, u2):
+                            key = key_p + (w2 + w1, u1 + u2)
+                            s = acc.get(key)
+                            if s is None:
+                                acc[key] = coeff
+                            else:
+                                s = s + coeff
+                                if s:
+                                    acc[key] = s
+                                else:
+                                    del acc[key]
+                            continue
                         for wf, cf in _leg_product(alg1, w2, w1, coeff):
                             add_terms(acc, ((key_p + (wf, ws), cs) for ws, cs
                                             in _leg_product(alg2, u1, u2, cf)))
@@ -382,11 +418,18 @@ def _leg_groups(k: Kernel) -> dict:
     return groups
 
 
+def _ordered(w: tuple, u: tuple) -> bool:
+    """Whether the junction of normal words w and u is ordered: either word
+    is empty or w[-1] <= u[0].  Normal words are non-decreasing, so then
+    w + u is normal as it stands and no rewrite applies."""
+    return not w or not u or w[-1] <= u[0]
+
+
 def _leg_product(alg: Algebra, w: tuple, u: tuple, c: VScalar):
     """The normal form of c w u for normal words w and u, as (word, coeff)
-    pairs.  Normal words are non-decreasing, so when either word is empty or
-    w[-1] <= u[0], w + u is normal as it stands and no rewrite applies."""
-    if not w or not u or w[-1] <= u[0]:
+    pairs; only a descending junction (:func:`_ordered`) reaches
+    ``normalize``."""
+    if _ordered(w, u):
         return ((w + u, c),)
     return alg.monomial(w + u, c).terms.items()
 
@@ -418,10 +461,14 @@ def _term_sort_key(key):
 
 
 def check_invariant(k: Kernel) -> list:
-    """Residuals act(g, k) - counit(g) k over all Chevalley generators."""
+    """Residuals act(g, k) - counit(g) k over all Chevalley generators.
+    The counit is 1 on K_i^{+-1} and 0 on E_i and F_i, so each residual is
+    one kernel: act(g, k) - k or act(g, k)."""
     out = []
     for g in chevalley_gens(k.space.n):
-        r = k.act(g) - k.scale(counit(g))
+        r = k.act(g)
+        if counit(g):
+            r = r - k
         if not r.is_zero():
             out.append((g, r))
     return out
@@ -642,31 +689,41 @@ def _normalized_poisson(n: int, cutoff: int) -> Kernel:
     return praw.scale(p00.inverse())
 
 
-def poisson_integral_n1(P: Kernel, f: N1Boundary) -> Kernel:
+def exponent_groups(P: Kernel) -> dict:
+    """The terms of an n = 1 kernel P grouped by the exponent e = j - k of
+    their second-leg word zeta^j zeta*^k, {e: [(w1, coeff), ...]}, in one
+    pass that also checks that no term carries powers."""
+    alg2 = P.space.leg2.alg
+    groups: dict = {}
+    for (a, b, c, d, w1, w2), x in P.terms.items():
+        if a or b or c or d:
+            raise PowerSignatureError("kernel carries powers; integrate after "
+                                      "the substitution")
+        j, k = bidegree(alg2, w2)
+        groups.setdefault(j - k, []).append((w1, x))
+    return groups
+
+
+def poisson_integral_n1(P: Kernel, f: N1Boundary, groups: dict = None) -> Kernel:
     """(id x nu)(P (1 x f)) for n = 1, in P's space with empty second legs.
 
     A second-leg word w2 = zeta^j zeta*^k is zeta^e with e = j - k in the
     Laurent model, so by linearity of the integral a term c (w1 x w2)
-    contributes c nu(zeta^e f) to w1.  That integral depends on e alone,
-    and is formed once per distinct e.
+    contributes c nu(zeta^e f) to w1.  nu takes the constant term, and
+    zeta^e f_m zeta^m = f_m zeta^(e + m), so only e = -m meets the term
+    f_m zeta^m of f: nu(zeta^e f) = f_{-e}.  It is formed once per exponent
+    of P, and a group of terms whose value is zero is skipped whole.
+    ``groups`` is :func:`exponent_groups` of P, passed by a caller that
+    integrates many f against one kernel; it is formed here when omitted.
     """
     sp = P.space
     if sp.n != 1:
         raise ValueError("the integral model is implemented for n = 1")
-    if not P.power_signature() <= {(0, 0, 0, 0)}:
-        raise PowerSignatureError("kernel carries powers; integrate after "
-                                  "the substitution")
-    alg2 = sp.leg2.alg
-    by_exponent: dict = {}
-
-    def integral(w2):
-        """nu(zeta^e f) for the exponent e of w2."""
-        j, k = bidegree(alg2, w2)
-        x = by_exponent.get(j - k)
-        if x is None:
-            x = by_exponent[j - k] = nu_n1(N1Boundary.zeta(j - k) * f)
-        return x
-
-    acc = add_terms({}, (((0, 0, 0, 0, w1, ()), c * integral(w2))
-                         for (_, _, _, _, w1, w2), c in P.terms.items()))
+    if groups is None:
+        groups = exponent_groups(P)
+    acc: dict = {}
+    for e, terms in groups.items():
+        x = nu_n1(N1Boundary.zeta(e) * f)
+        if x:
+            add_terms(acc, (((0, 0, 0, 0, w1, ()), c * x) for w1, c in terms))
     return Kernel(sp, acc, P.truncated)

@@ -18,7 +18,7 @@ from qball.ncpoly import Algebra, NCPoly, add_terms
 from qball.polmat import y_element
 from qball.scalars import ONE, VScalar, qpow, vpow
 from qball.suites import run_suite
-from qball.uqact import UqGen, act, chevalley_gens
+from qball.uqact import UqGen, act, chevalley_gens, counit, pol_tables
 
 
 def test_kmul_commutation_displays():
@@ -132,6 +132,39 @@ def test_invariance_check_reaches_the_gcd_route_only_for_the_closed_forms(
                         lambda *args: calls.append(args) or real(*args))
     assert check_invariant(L) == [] and check_invariant(Lb) == []
     assert len(calls) <= 4
+
+
+def _check_invariant_by_three_kernels(k):
+    """Reference for check_invariant: act(g) k, counit(g) k and their
+    difference, three kernels per generator."""
+    out = []
+    for g in chevalley_gens(k.space.n):
+        r = k.act(g) - k.scale(counit(g))
+        if not r.is_zero():
+            out.append((g, r))
+    return out
+
+
+def test_check_invariant_matches_the_three_kernel_route(monkeypatch):
+    # one E_1 entry of Pol(Mat_2) scaled by q breaks the invariance of L
+    # under E_1 (Lbar's first leg holds z* letters only); z x 1 is not
+    # K-invariant, flagged or not
+    sp1 = poisson_space(1, 2)
+    z = sp1.from_pair(sp1.leg1.alg.gen("z", 1, 1), sp1.leg2.alg.one())
+    t = pol_tables(2)
+    key = (1, t.alg.gen_code("z", 2, 1))
+    monkeypatch.setitem(t.E, key, t.E[key].scale(qpow(1)))
+    kernels_ = [build_L(2, 2), build_Lbar(2, 2), z,
+                Kernel(sp1, z.terms, truncated=True)]
+    seen = []
+    for k in kernels_:
+        got, expect = check_invariant(k), _check_invariant_by_three_kernels(k)
+        assert ([(g, list(r.terms.items()), r.truncated) for g, r in got]
+                == [(g, list(r.terms.items()), r.truncated) for g, r in expect])
+        seen.append({(g.kind, g.i, r.truncated) for g, r in got})
+    assert seen[0] == {("E", 1, False)} and seen[1] == set()
+    assert {"K", "Kinv"} <= {kind for kind, _, _ in seen[2]}
+    assert {flag for _, _, flag in seen[3]} == {True}
 
 
 def test_non_invariant_negative_control():
@@ -513,6 +546,18 @@ def test_pruned_product_bounds_each_leg_in_its_own_order():
     assert got.terms == _kmul_reference(k1, k2).terms
     assert got.terms[(0, 0, 0, 0, (z,), (zeta,))] == (ONE - qpow(2)) ** 2
     assert (k2 * k1).is_zero() and (k2 * k1).truncated
+    # unflagged pairs with q-exponents -2..2 and a descending junction on
+    # one leg, zs . z on the first and then zetas . zeta on the second,
+    # while the other leg's junction is ordered
+    sp = poisson_space(1, 3)
+    for w2, u1 in (((zs,), (zeta,)), ((z,), (zetas,))):
+        k1 = Kernel(sp, {(1, 0, 0, 1, (z,), u1): ONE,
+                         (2, 1, 0, 0, (z, zs), u1): qpow(1)})
+        k2 = Kernel(sp, {(0, 1, 2, 0, w2, (zeta,)): ONE,
+                         (0, 0, 1, 0, w2, (zeta, zetas)): vpow(1)})
+        got, expect = k1 * k2, _kmul_reference(k1, k2)
+        assert got.terms == expect.terms and len(got.terms) > 4
+        assert not got.truncated and not expect.truncated
 
 
 def _poisson_products(n, cutoff, monkeypatch):
@@ -645,12 +690,20 @@ def _integral_term_by_term(P, f):
 
 @pytest.mark.parametrize("D", [6, 24])
 def test_poisson_integral_matches_the_term_by_term_reference(D):
+    # the second-leg exponents of P are -D..D, so zeta^(2D + 1) meets no
+    # term of P; each f is integrated with and without a passed group table
     P = poisson_kernel(1, D)
+    groups = kernels.exponent_groups(P)
+    assert sorted(groups) == list(range(-D, D + 1))
     for f in (N1Boundary.one(), N1Boundary.zeta(1), N1Boundary.zeta(2),
-              N1Boundary.zeta(-1), N1Boundary({2: qpow(1), 0: vpow(1), -1: 1})):
-        got, expect = poisson_integral_n1(P, f), _integral_term_by_term(P, f)
-        assert got.terms and got.terms == expect.terms, f
-        assert got.truncated == expect.truncated == P.truncated
+              N1Boundary.zeta(-1), N1Boundary({2: qpow(1), 0: vpow(1), -1: 1}),
+              N1Boundary({2 * D + 1: qpow(1), -2: vpow(-1)})):
+        expect = _integral_term_by_term(P, f)
+        for got in (poisson_integral_n1(P, f), poisson_integral_n1(P, f, groups)):
+            assert got.terms and got.terms == expect.terms, f
+            assert got.truncated == expect.truncated == P.truncated
+    absent = poisson_integral_n1(P, N1Boundary.zeta(2 * D + 1), groups)
+    assert absent.is_zero() and absent.truncated == P.truncated
 
 
 # -- the U_q action on one leg ------------------------------------------------
@@ -938,7 +991,8 @@ def test_kernel_difference_matches_adding_the_negated_kernel(monkeypatch):
     operands = [Kernel(sp, {**shared, **own}), Kernel(sp, {**shared, **other}),
                 Kernel(sp, {**shared, **own}, truncated=True),
                 Kernel(sp, {**other, **shared}, truncated=True),
-                build_L(1, 3), P, P.scale(qpow(1)), sp.unit(), Kernel(sp, {})]
+                build_L(1, 3), P, P.scale(qpow(1)), P.scale(-ONE), sp.unit(),
+                Kernel(sp, {})]
     made = []
     real_init = Kernel.__init__
 
@@ -960,7 +1014,7 @@ def test_kernel_difference_matches_adding_the_negated_kernel(monkeypatch):
         sp.unit() - poisson_space(1, 2).unit()
 
 
-def test_kernel_space_sum():
+def test_kernel_space_sum(monkeypatch):
     sp = poisson_space(1, 2)
     z = sp.from_pair(sp.leg1.alg.gen("z", 1, 1), sp.leg2.alg.one())
     assert sp.sum([sp.unit(), z, z.scale(-ONE)]) == sp.unit()
@@ -970,3 +1024,22 @@ def test_kernel_space_sum():
     assert sp.sum([z], truncated=True).truncated
     with pytest.raises(CutoffMismatchError):
         sp.sum([poisson_space(1, 3).unit()])
+    # the box at its edge on each leg: a word's two counts sum to its
+    # length, so only a word longer than D is looked up, and of the words
+    # of length D + 1 only (D + 1, 0) and (0, D + 1) are dropped
+    D = sp.cutoff
+    looked_up = []
+    real = kernels.bidegree
+    monkeypatch.setattr(kernels, "bidegree",
+                        lambda alg, w: looked_up.append(w) or real(alg, w))
+    for leg, (alg, cls) in enumerate(((sp.leg1.alg, "z"), (sp.leg2.alg, "zeta"))):
+        x, xs = alg.gen_code(cls, 1, 1), alg.gen_code(cls + "s", 1, 1)
+        for j, k in ((D, 0), (0, D), (D - 1, 1), (D, 1), (1, D),
+                     (D + 1, 0), (0, D + 1)):
+            w = (x,) * j + (xs,) * k
+            key = (0, 0, 0, 0) + ((w, ()) if leg == 0 else ((), w))
+            looked_up.clear()
+            got = Kernel(sp, {key: ONE})
+            kept = max(j, k) <= D
+            assert (key in got.terms, got.truncated) == (kept, not kept), (leg, j, k)
+            assert looked_up == ([w] if j + k > D else []), (leg, j, k)
