@@ -8,18 +8,25 @@
       t_ij t_i'j'   = t_i'j' t_ij               (i < i', j > j')
       t_ij t_i'j'   = t_i'j' t_ij + (q - q^-1) t_ij' t_i'j   (i < i', j < j')
 
-* ``pol_algebra(n)`` / ``boundary_algebra(n)`` -- the *-algebra on z (or
-  zeta) generators and their stars in Wick order: z-letters sorted, then
-  starred letters sorted.  The z-block and the star-block each satisfy the
-  matrix relations above; a starred letter moves right past a plain letter
-  with the R-matrix cross relation
+* ``pol_algebra(n)`` -- the *-algebra on z generators and their stars zs
+  in Wick order: z-letters sorted, then starred letters sorted.  The
+  z-block and the star-block each satisfy the matrix relations above; a
+  starred letter moves right past a plain letter with the R-matrix cross
+  relation
 
       (z_b^beta)* z_a^alpha = q^2 sum R(b,a,b',a') R(beta,alpha,beta',alpha')
                               z_a'^alpha' (z_b'^beta')*
                               + (1 - q^2) delta_ab delta^{alpha beta}
 
   where R(b,a,b',a') is q^-1 for a != b, b=b', a=a'; 1 for a=b=a'=b';
-  1 - q^-2 for a=b, a'=b', a' > a; and 0 otherwise.
+  1 - q^-2 for a=b, a'=b', a' > a; and 0 otherwise.  The rule tells a
+  plain letter from a starred one by its code (below n^2 or not) and takes
+  class names only from the letters it rewrites.
+
+* ``boundary_algebra(n)`` -- Pol's presentation renamed: zeta and zetas
+  letters with Pol's codes, rule and pair cache (``Algebra.renamed``), so
+  a rewrite met on either is formed once.  The Shilov reduction is applied
+  separately (see qball.boundary).
 
 Monomial order: class rank first (plain before starred), then the two
 indices lexicographically.  Instances are cached and immutable.
@@ -74,7 +81,7 @@ def _r_values(b: int, a: int, n: int):
     return out
 
 
-def _cross_rule(zcls: str, scls: str, n: int, g: Generator, h: Generator):
+def _cross_rule(n: int, g: Generator, h: Generator):
     """(z_b^beta)* z_a^alpha moved to Wick order."""
     b, beta = g.i, g.j
     a, alpha = h.i, h.j
@@ -83,20 +90,23 @@ def _cross_rule(zcls: str, scls: str, n: int, g: Generator, h: Generator):
     for (bp, ap), r1 in _r_values(b, a, n).items():
         for (betap, alphap), r2 in _r_values(beta, alpha, n).items():
             out.append((q2 * r1 * r2,
-                        (Generator(zcls, ap, alphap), Generator(scls, bp, betap))))
+                        (Generator(h.cls, ap, alphap), Generator(g.cls, bp, betap))))
     if a == b and alpha == beta:
         out.append((ONE - q2, ()))
     return out
 
 
-def _make_rule(n: int, zcls: str, scls: str):
+def _make_rule(n: int):
+    plain = n * n  # codes below are plain letters, the others starred
+
     def rule(alg: Algebra, gc: int, hc: int):
         g, h = alg.gens[gc], alg.gens[hc]
-        if g.cls == h.cls:
-            pairs = (_matrix_rule_pair(g, h) if g.cls == zcls
-                     else _star_rule_pair(g, h))
+        if gc < plain:
+            pairs = _matrix_rule_pair(g, h)
+        elif hc >= plain:
+            pairs = _star_rule_pair(g, h)
         else:
-            pairs = _cross_rule(zcls, scls, n, g, h)
+            pairs = _cross_rule(n, g, h)
         return [(c, tuple(alg.code[x] for x in w)) for c, w in pairs]
     return rule
 
@@ -115,23 +125,18 @@ def matrix_algebra(nrows: int, ncols: int, cls: str = "t") -> Algebra:
 
 
 @lru_cache(maxsize=None)
-def _star_pair_algebra(n: int, zcls: str, scls: str) -> Algebra:
-    gens = [Generator(zcls, a, al)
-            for a in range(1, n + 1) for al in range(1, n + 1)]
-    gens += [Generator(scls, a, al)
-             for a in range(1, n + 1) for al in range(1, n + 1)]
-    return Algebra(f"Pol[{n};{zcls}]", gens, _make_rule(n, zcls, scls))
-
-
 def pol_algebra(n: int) -> Algebra:
     """Pol(Mat_n)_q on z[a,alpha] and zs[a,alpha], in Wick order."""
-    return _star_pair_algebra(n, "z", "zs")
+    gens = [Generator(cls, a, al) for cls in ("z", "zs")
+            for a in range(1, n + 1) for al in range(1, n + 1)]
+    return Algebra(f"Pol[{n};z]", gens, _make_rule(n))
 
 
+@lru_cache(maxsize=None)
 def boundary_algebra(n: int) -> Algebra:
-    """Same presentation on zeta letters; Shilov reduction is applied
+    """Pol's presentation on zeta letters; Shilov reduction is applied
     separately (see qball.boundary)."""
-    return _star_pair_algebra(n, "zeta", "zetas")
+    return pol_algebra(n).renamed(f"Pol[{n};zeta]", {"z": "zeta", "zs": "zetas"})
 
 
 STAR_CLASSES = frozenset({"zs", "zetas"})

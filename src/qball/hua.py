@@ -23,9 +23,7 @@ from .uqact import chevalley_gens
 
 
 def _word_11(alg, b: int, beta: int, a: int, alpha: int) -> tuple:
-    zc = "zeta" if alg.gens[0].cls == "zeta" else "z"
-    sc = zc + "s"
-    return (alg.gen_code(zc, b, beta), alg.gen_code(sc, a, alpha))
+    return (alg.gen_code("z", b, beta), alg.gen_code("zs", a, alpha))
 
 
 def first_leg_groups(P: Kernel) -> dict:

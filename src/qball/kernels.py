@@ -63,16 +63,17 @@ deleted, so a check whose difference is zero does no scalar arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable
 
 from .algebras import bidegree, boundary_algebra, pol_algebra, star_poly
 from .boundary import N1Boundary, nu_n1
 from .ncpoly import Algebra, NCPoly, add_terms
 from .polmat import y_element
-from .qmatrix import l_pairs, qminor, subsets_k
+from .qmatrix import l_pairs, qminor
 from .scalars import ONE, VScalar, neg_qpow, qpow, vpow
-from .uqact import (ActionTables, UqGen, act_word, boundary_tables,
-                    chevalley_gens, counit, pol_tables)
+from .uqact import (ActionTables, UqGen, act_word, chevalley_gens, counit,
+                    pol_tables)
 
 
 class PowerSignatureError(ValueError):
@@ -86,7 +87,8 @@ class CutoffMismatchError(ValueError):
 class LegContext:
     """One tensor leg: its algebra, its action tables and the codes of
     z_n^n and (z_n^n)* (zeta on the second leg), the letters that E_n and
-    F_n attach to the power block."""
+    F_n attach to the power block.  The tables act on codes, so the two
+    legs share Pol's: the second leg's algebra is Pol renamed."""
 
     def __init__(self, alg: Algebra, tables: ActionTables, zcls: str):
         self.alg = alg
@@ -216,8 +218,9 @@ def poisson_space(n: int, cutoff: int) -> KernelSpace:
 
 @lru_cache(maxsize=None)
 def _space(n: int, cutoff: int) -> KernelSpace:
+    # the boundary is Pol renamed, so both legs act through Pol's tables
     leg1 = LegContext(pol_algebra(n), pol_tables(n), "z")
-    leg2 = LegContext(boundary_algebra(n), boundary_tables(n), "zeta")
+    leg2 = LegContext(boundary_algebra(n), pol_tables(n), "zeta")
     return KernelSpace(n, cutoff, leg1, leg2)
 
 
@@ -501,7 +504,7 @@ def build_L(n: int, cutoff: int) -> Kernel:
         m2 = star_poly(qminor(sp.leg2.alg, A, U, cls="zeta"))
         scale = qpow(-k) * VScalar.from_int((-1) ** k)
         return sp.from_pair(m1, m2, key=(1, 0, 0, 1), coeff=scale)
-    return sp.sum(map(term, subsets_k(range(1, 2 * n + 1), n)))
+    return sp.sum(map(term, combinations(range(1, 2 * n + 1), n)))
 
 
 @lru_cache(maxsize=None)
@@ -515,7 +518,7 @@ def build_Lbar(n: int, cutoff: int) -> Kernel:
         m2 = qminor(sp.leg2.alg, A, U, cls="zeta")
         scale = (qpow(-k) * neg_qpow(-2 * ell)) * VScalar.from_int((-1) ** k)
         return sp.from_pair(m1, m2, key=(0, 1, 1, 0), coeff=scale)
-    return sp.sum(map(term, subsets_k(range(1, 2 * n + 1), n)))
+    return sp.sum(map(term, combinations(range(1, 2 * n + 1), n)))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,15 @@ class Algebra:
         self._rule = rule
         self._pair_cache: dict = {}
 
+    def renamed(self, name: str, classes: dict) -> "Algebra":
+        """The same presentation with generator classes renamed by
+        ``classes``: the same codes, the same rule and the same pair cache,
+        so a rule met through either algebra is formed once."""
+        alg = Algebra(name, (g._replace(cls=classes.get(g.cls, g.cls))
+                             for g in self.gens), self._rule)
+        alg._pair_cache = self._pair_cache
+        return alg
+
     def __repr__(self):
         return f"Algebra({self.name}, {len(self.gens)} generators)"
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 
 from .algebras import matrix_algebra, pol_algebra, star_poly
 from .ncpoly import Algebra, NCPoly, add_terms
-from .qmatrix import qdet, qminor, subsets_k
+from .qmatrix import qdet, qminor
 from .scalars import ONE, VScalar, neg_qpow, qpow
 
 
@@ -34,8 +35,8 @@ def y_element(n: int) -> NCPoly:
     rng = range(1, n + 1)
     for k in range(1, n + 1):
         sign = VScalar.from_int((-1) ** k)
-        for rows in subsets_k(rng, k):
-            for cols in subsets_k(rng, k):
+        for rows in combinations(rng, k):
+            for cols in combinations(rng, k):
                 m = qminor(alg, rows, cols, cls="z")
                 add_terms(acc, (m * star_poly(m)).scale(sign).terms.items())
     return NCPoly(alg, acc)

@@ -9,7 +9,7 @@ sum is the same element; the tests keep it as the cross-check.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .algebras import matrix_algebra
 from .ncpoly import Algebra, NCPoly
@@ -46,22 +46,6 @@ def qdet(alg: Algebra, n: int, cls: str = "t") -> NCPoly:
     return qminor(alg, idx, idx, cls=cls)
 
 
-def subsets_k(universe, k):
-    universe = tuple(universe)
-    out = []
-
-    def rec(start, chosen):
-        if len(chosen) == k:
-            out.append(tuple(chosen))
-            return
-        for i in range(start, len(universe)):
-            chosen.append(universe[i])
-            rec(i + 1, chosen)
-            chosen.pop()
-    rec(0, [])
-    return out
-
-
 def l_pairs(I, J) -> int:
     """card{(i, j) in I x J : i > j}."""
     return sum(1 for i in I for j in J if i > j)
@@ -76,7 +60,7 @@ def laplace_residuals(n: int):
     top = tuple(range(1, n + 1))
     bot = tuple(range(n + 1, 2 * n + 1))
     splits = []
-    for J in subsets_k(range(1, 2 * n + 1), n):
+    for J in combinations(range(1, 2 * n + 1), n):
         Jc = tuple(j for j in range(1, 2 * n + 1) if j not in J)
         splits.append((l_pairs(J, Jc), qminor(alg, top, J), qminor(alg, bot, Jc)))
     s1 = alg.sum((mt * mb).scale(neg_qpow(ell)) for ell, mt, mb in splits)

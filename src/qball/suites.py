@@ -27,9 +27,8 @@ from .polmat import GLnElement, shilov_residuals_gl, y_element
 from .qmatrix import centrality_residuals, laplace_residuals
 from .reports import Report
 from .scalars import ONE
-from .uqact import (boundary_tables, module_algebra_residuals,
-                    operator_relation_residuals, pol_tables, rect_tables,
-                    star_compat_residuals)
+from .uqact import (module_algebra_residuals, operator_relation_residuals,
+                    pol_tables, rect_tables, star_compat_residuals)
 
 # the suites of `verify --suite all`; `limits` runs on its own subcommand
 SUITE_NAMES = ["laplace", "central", "confluence", "invariance", "star",
@@ -49,34 +48,14 @@ def suite_central(rep: Report, n: int, cutoff: int):
     _collect(rep, [(f"[det_q, t{k}]", r) for k, r in centrality_residuals(n)])
 
 
-def _boundary_is_pol(n: int) -> bool:
-    """Whether the boundary presentation is Pol's code for code: the same
-    pair rules and the same E, F and K tables.  Both come from
-    ``_make_rule`` and ``PolActionTables`` with only the class names
-    changed, so this holds unless a table was altered.  Every check of the
-    ``confluence`` and ``action`` suites reads only those, so when it holds
-    the boundary's residuals are Pol's, labels included."""
-    pol, bd = pol_algebra(n), boundary_algebra(n)
-    G = range(pol.ngens())
-    if any(pol.pair_rule(g, h) != bd.pair_rule(g, h) for g in G for h in range(g)):
-        return False
-    tp, tb = pol_tables(n), boundary_tables(n)
-    return (tp.K == tb.K and tp.k_exp == tb.k_exp
-            and all(tp.E[key].terms == tb.E[key].terms
-                    and tp.F[key].terms == tb.F[key].terms for key in tp.E))
-
-
 def suite_confluence(rep: Report, n: int, cutoff: int):
     """Every overlap ambiguity g > h > k of each rewrite table resolves, which
     by the Diamond Lemma proves the table confluent (see
-    :func:`qball.ncpoly.overlap_residuals`).  The boundary table reuses
-    Pol's residuals when it is Pol's code for code (:func:`_boundary_is_pol`)."""
-    pol, bd, mat = pol_algebra(n), boundary_algebra(n), matrix_algebra(n, 2 * n)
-    shared = overlap_residuals(pol)
-    for alg, found in ((pol, shared),
-                       (bd, shared if _boundary_is_pol(n) else overlap_residuals(bd)),
-                       (mat, overlap_residuals(mat))):
-        _collect(rep, [(f"{alg.name}:{t}", r) for t, r in found])
+    :func:`qball.ncpoly.overlap_residuals`).  The tables are Pol's and the
+    rectangular matrix algebra's; the boundary is Pol's presentation
+    renamed, so its table is Pol's and is checked under Pol's name."""
+    for alg in (pol_algebra(n), matrix_algebra(n, 2 * n)):
+        _collect(rep, [(f"{alg.name}:{t}", r) for t, r in overlap_residuals(alg)])
 
 
 def suite_invariance(rep: Report, n: int, cutoff: int):
@@ -123,17 +102,13 @@ def suite_action(rep: Report, n: int, cutoff: int):
     Each relation is skew-primitive and the star compatibility is closed
     under products, so these finite checks prove both on all of Pol (see
     :func:`qball.uqact.operator_relation_residuals` and
-    :func:`qball.uqact.star_compat_residuals`).  The module-algebra check
-    of the boundary tables reuses Pol's residuals when the boundary is
-    Pol's code for code (:func:`_boundary_is_pol`).
+    :func:`qball.uqact.star_compat_residuals`).  The second kernel leg
+    acts through the pol tables too, so they are checked once, as "pol".
     """
-    shared = module_algebra_residuals(pol_tables(n))
-    for tag, found in (("pol", shared),
-                       ("rect", module_algebra_residuals(rect_tables(n))),
-                       ("boundary", shared if _boundary_is_pol(n)
-                        else module_algebra_residuals(boundary_tables(n)))):
-        _collect(rep, [(f"{tag}:{k}", r) for k, r in found])
     t = pol_tables(n)
+    for tag, tables in (("pol", t), ("rect", rect_tables(n))):
+        _collect(rep, [(f"{tag}:{k}", r)
+                       for k, r in module_algebra_residuals(tables)])
     words = [()] + [(g,) for g in range(t.alg.ngens())]
     _collect(rep, [(f"op:{k}", r)
                    for k, r in operator_relation_residuals(t, words)])

@@ -19,8 +19,10 @@ one sum over its letters, generated in one place (``_leibniz_terms``).
 ``kernels.act_leg`` applies ``act_word`` to the Wick word of a kernel leg
 and adds only the closed forms for the power block.
 
-Tables exist for the z / z* algebras (and their zeta twins) and for the
-rectangular and square matrix algebras.  The action on starred letters is
+Tables exist for the z / z* algebra and for the rectangular and square
+matrix algebras.  The Shilov boundary's zeta letters are Pol's codes
+renamed (``algebras.boundary_algebra``), so the second kernel leg acts
+through ``pol_tables`` too.  The action on starred letters is
 derived from the compatibility (a f)* = (S(a))* f*, which fixes
 
     E_i(f*) = +-q^{-2} (F_i f)*,     F_i(f*) = +-q^{2} (E_i f)*,
@@ -41,7 +43,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebras import boundary_algebra, matrix_algebra, pol_algebra, star_poly
+from .algebras import matrix_algebra, pol_algebra, star_poly
 from .ncpoly import Algebra, NCPoly, normalize
 from .scalars import ONE, VScalar, ZERO, qpow, vpow
 
@@ -120,12 +122,8 @@ class MatrixActionTables(ActionTables):
 class PolActionTables(ActionTables):
     """The z_a^alpha action of Prop-type, plus the star-derived action."""
 
-    def __init__(self, alg: Algebra, n: int, zcls: str, scls: str):
-        self.zcls, self.scls = zcls, scls
-        super().__init__(alg, n)
-
     def _entry(self, g, i):
-        if g.cls == self.zcls:
+        if g.cls == "z":
             return self._z_entry(g.i, g.j, i)
         ez, fz, kz = self._z_entry(g.i, g.j, i)
         sign = ONE if i == self.n else -ONE
@@ -135,7 +133,6 @@ class PolActionTables(ActionTables):
 
     def _z_entry(self, a, al, i):
         alg, n = self.alg, self.n
-        z = self.zcls
         if i == n:
             # the one-index-n eigenvalue is forced to q (not q^-1) by weight
             # additivity under the z-relations; cf. the minor picture where
@@ -147,49 +144,37 @@ class PolActionTables(ActionTables):
             else:
                 k = ONE
             if a == n and al == n:
-                e = (alg.gen(z, n, n) * alg.gen(z, n, n)).scale(-vpow(1))
+                e = (alg.gen("z", n, n) * alg.gen("z", n, n)).scale(-vpow(1))
                 f = alg.scalar(vpow(1))
             elif a != n and al != n:
-                e = (alg.gen(z, a, n) * alg.gen(z, n, al)).scale(-vpow(-1))
+                e = (alg.gen("z", a, n) * alg.gen("z", n, al)).scale(-vpow(-1))
                 f = alg.zero()
             else:
-                e = (alg.gen(z, n, n) * alg.gen(z, a, al)).scale(-vpow(1))
+                e = (alg.gen("z", n, n) * alg.gen("z", a, al)).scale(-vpow(1))
                 f = alg.zero()
             return e, f, k
         if i < n:
             k = qpow(1) if a == i else (qpow(-1) if a == i + 1 else ONE)
-            e = alg.gen(z, a - 1, al).scale(vpow(-1)) if a == i + 1 else alg.zero()
-            f = alg.gen(z, a + 1, al).scale(vpow(1)) if a == i else alg.zero()
+            e = alg.gen("z", a - 1, al).scale(vpow(-1)) if a == i + 1 else alg.zero()
+            f = alg.gen("z", a + 1, al).scale(vpow(1)) if a == i else alg.zero()
             return e, f, k
         # i > n
         k = qpow(1) if al == 2 * n - i else (qpow(-1) if al == 2 * n - i + 1 else ONE)
-        e = (alg.gen(z, a, al - 1).scale(vpow(-1))
+        e = (alg.gen("z", a, al - 1).scale(vpow(-1))
              if al == 2 * n - i + 1 else alg.zero())
-        f = (alg.gen(z, a, al + 1).scale(vpow(1))
+        f = (alg.gen("z", a, al + 1).scale(vpow(1))
              if al == 2 * n - i else alg.zero())
         return e, f, k
 
 
 @lru_cache(maxsize=None)
-def tables_for(alg: Algebra, n: int) -> ActionTables:
-    first = alg.gens[0].cls
-    if first == "z":
-        return PolActionTables(alg, n, "z", "zs")
-    if first == "zeta":
-        return PolActionTables(alg, n, "zeta", "zetas")
-    return MatrixActionTables(alg, n)
-
-
 def pol_tables(n: int) -> ActionTables:
-    return tables_for(pol_algebra(n), n)
+    return PolActionTables(pol_algebra(n), n)
 
 
-def boundary_tables(n: int) -> ActionTables:
-    return tables_for(boundary_algebra(n), n)
-
-
+@lru_cache(maxsize=None)
 def rect_tables(n: int) -> ActionTables:
-    return tables_for(matrix_algebra(n, 2 * n), n)
+    return MatrixActionTables(matrix_algebra(n, 2 * n), n)
 
 
 # ---------------------------------------------------------------------------

@@ -145,24 +145,27 @@ def _check_invariant_by_three_kernels(k):
     return out
 
 
-def test_check_invariant_matches_the_three_kernel_route(monkeypatch):
+def test_check_invariant_matches_the_three_kernel_route(monkeypatch, no_new_kernels):
     # one E_1 entry of Pol(Mat_2) scaled by q breaks the invariance of L
-    # under E_1 (Lbar's first leg holds z* letters only); z x 1 is not
-    # K-invariant, flagged or not
+    # under E_1 through its z first leg, and of Lbar through its zeta
+    # second leg, which acts through the same table; z x 1 is not
+    # K-invariant, flagged or not.  The kernels are built before the table
+    # is corrupted
     sp1 = poisson_space(1, 2)
     z = sp1.from_pair(sp1.leg1.alg.gen("z", 1, 1), sp1.leg2.alg.one())
-    t = pol_tables(2)
-    key = (1, t.alg.gen_code("z", 2, 1))
-    monkeypatch.setitem(t.E, key, t.E[key].scale(qpow(1)))
     kernels_ = [build_L(2, 2), build_Lbar(2, 2), z,
                 Kernel(sp1, z.terms, truncated=True)]
+    t = pol_tables(2)
+    key = (1, t.alg.gen_code("z", 2, 1))
     seen = []
-    for k in kernels_:
-        got, expect = check_invariant(k), _check_invariant_by_three_kernels(k)
-        assert ([(g, list(r.terms.items()), r.truncated) for g, r in got]
-                == [(g, list(r.terms.items()), r.truncated) for g, r in expect])
-        seen.append({(g.kind, g.i, r.truncated) for g, r in got})
-    assert seen[0] == {("E", 1, False)} and seen[1] == set()
+    with no_new_kernels():
+        monkeypatch.setitem(t.E, key, t.E[key].scale(qpow(1)))
+        for k in kernels_:
+            got, expect = check_invariant(k), _check_invariant_by_three_kernels(k)
+            assert ([(g, list(r.terms.items()), r.truncated) for g, r in got]
+                    == [(g, list(r.terms.items()), r.truncated) for g, r in expect])
+            seen.append({(g.kind, g.i, r.truncated) for g, r in got})
+    assert seen[0] == seen[1] == {("E", 1, False)}
     assert {"K", "Kinv"} <= {kind for kind, _, _ in seen[2]}
     assert {flag for _, _, flag in seen[3]} == {True}
 
@@ -394,6 +397,28 @@ def test_same_class_rules_keep_the_class_and_the_length(algebra, n):
         for _, w in alg.pair_rule(g, h):
             assert len(w) == 2, (g, h, w)
             assert all(alg.gens[x].cls == alg.gens[g].cls for x in w), (g, h, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_boundary_is_pol_renamed(monkeypatch, n):
+    # one presentation under two names: the same codes, rule and pair
+    # cache, so a rule first formed through the boundary is a cache hit for
+    # Pol and equals Pol's own rule; and one action table for both legs
+    pol, bd = pol_algebra(n), boundary_algebra(n)
+    rename = {"z": "zeta", "zs": "zetas"}
+    assert bd.name == f"Pol[{n};zeta]"
+    assert bd.gens == tuple(g._replace(cls=rename[g.cls]) for g in pol.gens)
+    assert bd._rule is pol._rule and bd._pair_cache is pol._pair_cache
+    calls = []
+    monkeypatch.setattr(pol, "_rule", lambda *args: calls.append(args))
+    for g in range(pol.ngens()):
+        for h in range(g):
+            monkeypatch.delitem(pol._pair_cache, (g, h), raising=False)
+            rule = bd.pair_rule(g, h)
+            assert pol.pair_rule(g, h) is rule
+            assert rule == bd._rule(pol, g, h), (g, h)
+    assert calls == []
+    assert poisson_space(n, 1).leg2.tables is pol_tables(n)
 
 
 @pytest.mark.parametrize("algebra, n", [(pol_algebra, 1), (pol_algebra, 2),

@@ -1,12 +1,12 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from qball.algebras import matrix_algebra
 from qball.ncpoly import NCPoly
 from qball.qmatrix import (_inversions, centrality_residuals, l_pairs,
-                           laplace_residuals, qdet, qminor, subsets_k)
+                           laplace_residuals, qdet, qminor)
 from qball.scalars import ONE, neg_qpow, qpow
 
 
@@ -38,8 +38,8 @@ def _row_form_minor(alg, rows, cols, cls="t"):
 def test_row_form_equals_column_form():
     alg = matrix_algebra(2, 4)
     for k in (1, 2):
-        for rows in subsets_k(range(1, 3), k):
-            for cols in subsets_k(range(1, 5), k):
+        for rows in combinations(range(1, 3), k):
+            for cols in combinations(range(1, 5), k):
                 assert _row_form_minor(alg, rows, cols) == qminor(alg, rows, cols)
 
 
@@ -69,7 +69,7 @@ def test_laplace_negative_control_wrong_sign():
     alg = matrix_algebra(2, 2)
     det = qdet(alg, 2)
     acc = alg.zero()
-    for J in subsets_k(range(1, 3), 1):
+    for J in combinations(range(1, 3), 1):
         Jc = tuple(j for j in range(1, 3) if j not in J)
         ell = l_pairs(J, Jc)
         acc = acc + (qminor(alg, [2], Jc) * qminor(alg, [1], J)).scale(neg_qpow(ell))
@@ -124,7 +124,7 @@ def test_m_map_laplace_cross_check_n2():
     rect = matrix_algebra(n, 2 * n)
     big = matrix_algebra(2 * n, 2 * n)
     acc = big.zero()
-    for J in subsets_k(range(1, 2 * n + 1), n):
+    for J in combinations(range(1, 2 * n + 1), n):
         Jc = tuple(j for j in range(1, 2 * n + 1) if j not in J)
         ell = l_pairs(J, Jc)
         top = qminor(rect, range(1, n + 1), J)
