@@ -14,6 +14,7 @@ from itertools import permutations
 
 from .kernels import Kernel
 from .ncpoly import NCPoly, add_terms
+from .qmatrix import inversions
 
 
 def cpoly_zero() -> dict:
@@ -71,13 +72,7 @@ def classical_det_one_minus_zzstar(n: int) -> dict:
             entries[(a, b)] = cpoly_add(e, cpoly_scale(s, Fraction(-1)))
     det = cpoly_zero()
     for perm in permutations(range(1, n + 1)):
-        sign = Fraction(1)
-        seen = list(perm)
-        for i in range(len(seen)):
-            for j in range(i + 1, len(seen)):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = {(): sign}
+        term = {(): Fraction((-1) ** inversions(perm))}
         for a in range(1, n + 1):
             term = cpoly_mul(term, entries[(a, perm[a - 1])])
         det = cpoly_add(det, term)

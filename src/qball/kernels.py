@@ -312,7 +312,8 @@ class Kernel:
         constructor must see them all to decide the flag exactly as for the
         full product.  A pair whose junctions are ordered on both legs
         (:func:`_ordered`) is added in place; the others go through
-        :func:`_leg_product`.
+        :func:`_leg_product`, which forms the second leg once per pair with
+        coefficient 1, to be scaled by each term of the first.
         """
         self._check(other)
         sp = self.space
@@ -351,9 +352,10 @@ class Kernel:
                                 else:
                                     del acc[key]
                             continue
+                        second = _leg_product(alg2, u1, u2, ONE)
                         for wf, cf in _leg_product(alg1, w2, w1, coeff):
-                            add_terms(acc, ((key_p + (wf, ws), cs) for ws, cs
-                                            in _leg_product(alg2, u1, u2, cf)))
+                            add_terms(acc, ((key_p + (wf, ws), cf * cs)
+                                            for ws, cs in second))
         return Kernel(sp, acc, truncated)
 
     # -- the U_q action across the two legs -----------------------------------

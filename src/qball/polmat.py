@@ -12,7 +12,6 @@ Box-truncated elements are ``qball.kernels.Kernel``s.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
@@ -47,13 +46,13 @@ def y_element(n: int) -> NCPoly:
 # ---------------------------------------------------------------------------
 
 class GLnElement:
-    """poly * det_q^{-dpow} with dpow >= 0.
+    """poly * det_q^{-dpow} with dpow >= 0, stored as given.
 
-    The constructor stores what it is given; :meth:`sum` is the one place
-    that reduces, so that the polynomial part of a sum is not divisible by
-    det_q whenever dpow > 0.  A product keeps the unreduced form: products
-    are summed, and the sum reduces once.  Equality cross-multiplies, so it
-    does not depend on reduction."""
+    There is no reduced form: the same element has one representation for
+    every large enough power.  A product adds the powers, and :meth:`sum`
+    brings every term to the largest power before it adds.  Equality
+    cross-multiplies, and an element is zero exactly when its polynomial
+    part is, because det_q is central and C[GL_n]_q is a domain."""
 
     __slots__ = ("n", "poly", "dpow")
 
@@ -83,19 +82,11 @@ class GLnElement:
 
     @staticmethod
     def sum(n: int, elems: list) -> "GLnElement":
-        """One sum over a common det_q power, reduced once.  The reduced form
-        is unique (det_q is central and the algebra is a domain), so this
-        equals any sequence of pairwise additions."""
+        """One sum over the largest det_q power of the terms."""
         alg = GLnElement.algebra(n)
         det = qdet(alg, n, cls="z")
         e = max((x.dpow for x in elems), default=0)
-        poly = alg.sum(x.poly * det ** (e - x.dpow) for x in elems)
-        while e > 0:
-            quo = divide_by_central(poly, det)
-            if quo is None:
-                break
-            poly, e = quo, e - 1
-        return GLnElement(n, poly, e)
+        return GLnElement(n, alg.sum(x.poly * det ** (e - x.dpow) for x in elems), e)
 
     def __add__(self, other: "GLnElement") -> "GLnElement":
         return GLnElement.sum(self.n, [self, other])
@@ -110,7 +101,6 @@ class GLnElement:
         if not isinstance(other, GLnElement):
             return NotImplemented
         det = qdet(self.alg, self.n, cls="z")
-        # cross-multiplied comparison avoids relying on reduction
         return (self.poly * det ** other.dpow) == (other.poly * det ** self.dpow)
 
     def is_zero(self) -> bool:
@@ -131,7 +121,7 @@ class GLnElement:
             c = _det_star_scale(self.n)
             acc = acc.scale(c ** (-self.dpow))
             new_dpow = acc.dpow - self.dpow
-            # acc is reduced by the sum, and stays so at a lower power
+            # det_q is central, so det_q^dpow cancels against acc's power
             if new_dpow >= 0:
                 acc = GLnElement(self.n, acc.poly, new_dpow)
             else:
@@ -151,45 +141,21 @@ def gl_star_gen(n: int, a: int, alpha: int) -> GLnElement:
 
 @lru_cache(maxsize=None)
 def _det_star_scale(n: int) -> VScalar:
-    """star(det_q) = c * det_q^{-1}; computes and caches c, checking the shape."""
+    """star(det_q) = c * det_q^{-1}; computes and caches c, checking the shape.
+
+    With star(det_q) = S det_q^{-d}, the shape holds exactly when d >= 1 and
+    S = c det_q^{d-1}, because det_q is central and the algebra is a domain.
+    c is read off the leading (smallest degree-lex) word of det_q^{d-1}."""
     alg = GLnElement.algebra(n)
     det = qdet(alg, n, cls="z")
     starred = GLnElement(n, det, 0).star()
-    prod = GLnElement.sum(n, [starred * GLnElement(n, det, 0)])
-    if prod.dpow != 0 or set(prod.poly.terms) != {()}:
-        raise ArithmeticError("star(det_q) is not a scalar multiple of det_q^{-1}")
-    return prod.poly.constant_term()
-
-
-def divide_by_central(p: NCPoly, det: NCPoly):
-    """Exact quotient r with p = det * r, or None, by long division.
-
-    Order normal words (sorted tuples, so multisets of generators) by length,
-    then lexicographically, and call the smallest word of a polynomial its
-    leading word.  This order is compatible with multiset union.  Every rule
-    rewrites g h (g > h) to c (h, g) plus larger words, with c != 0 (tier-1
-    checks this for n <= 3), so the product of normal words u and w leads
-    with sorted(u + w), coefficient nonzero, and lead(det * w) is
-    sorted(lead(det) + w).
-    So if p = det * r, lead(p) contains lead(det) and the rest of it is
-    lead(r).  Subtracting det times that term removes lead(p) and adds only
-    larger words of the same length, so the loop ends.
-    """
-    order = lambda w: (len(w), w)
-    need = Counter(min(det.terms, key=order))
-    rest = dict(p.terms)
-    out: dict = {}
-    while rest:
-        lead = min(rest, key=order)
-        have = Counter(lead)
-        if not need <= have:
-            return None
-        w = tuple(sorted((have - need).elements()))
-        prod = det * NCPoly(p.alg, {w: ONE})
-        c = rest[lead] * prod.terms[lead].inverse()
-        out[w] = c
-        add_terms(rest, ((x, -(c * y)) for x, y in prod.terms.items()))
-    return NCPoly(p.alg, out)
+    if starred.dpow >= 1:
+        base = det ** (starred.dpow - 1)
+        lead = min(base.terms, key=lambda w: (len(w), w))
+        c = starred.poly.coeff(lead) * base.terms[lead].inverse()
+        if c and starred.poly == base.scale(c):
+            return c
+    raise ArithmeticError("star(det_q) is not a scalar multiple of det_q^{-1}")
 
 
 def shilov_residuals_gl(n: int):

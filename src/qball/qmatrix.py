@@ -16,7 +16,8 @@ from .ncpoly import Algebra, NCPoly
 from .scalars import neg_qpow
 
 
-def _inversions(perm: tuple) -> int:
+def inversions(perm: tuple) -> int:
+    """l(perm): the number of pairs i < j with perm[i] > perm[j]."""
     n = len(perm)
     return sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
 
@@ -36,7 +37,7 @@ def qminor(alg: Algebra, rows, cols, cls: str = "t") -> NCPoly:
 
     def word(perm):
         return tuple(alg.gen_code(cls, rows[t], cols[perm[t]]) for t in range(k))
-    return alg.poly({word(perm): neg_qpow(_inversions(perm))
+    return alg.poly({word(perm): neg_qpow(inversions(perm))
                      for perm in permutations(range(k))})
 
 

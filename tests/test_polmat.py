@@ -1,5 +1,4 @@
 import random
-from itertools import combinations_with_replacement
 
 import pytest
 
@@ -7,12 +6,10 @@ from qball import polmat, suites
 from qball.algebras import bidegree, pol_algebra, star_poly
 from qball.classical import classical_det_one_minus_zzstar, classical_poly
 from qball.kernels import poisson_space
-from qball.linalg import rref
 from qball.ncpoly import NCPoly
-from qball.polmat import (GLnElement, divide_by_central, gl_star_gen,
-                          shilov_residuals_gl, y_element)
+from qball.polmat import GLnElement, gl_star_gen, shilov_residuals_gl, y_element
 from qball.qmatrix import qdet
-from qball.scalars import ONE, ZERO, neg_qpow, qpow
+from qball.scalars import ONE, qpow
 
 
 def _r_table(n, b, a):
@@ -177,7 +174,7 @@ def test_gl_star_generator_images():
     assert e2.poly == GLnElement.algebra(2).gen("z", 2, 2).scale(qpow(-2))
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_gl_star_is_involutive_on_generators(n):
     for a in range(1, n + 1):
         for al in range(1, n + 1):
@@ -185,29 +182,17 @@ def test_gl_star_is_involutive_on_generators(n):
             assert e.star().star() == e
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_shilov_relations_in_gl_model(n):
     for label, r in shilov_residuals_gl(n):
         assert r.is_zero(), f"residual at {label}"
 
 
-def test_divide_by_central_det():
-    n = 2
-    alg = GLnElement.algebra(n)
-    det = qdet(alg, n, cls="z")
-    p = det * alg.gen("z", 1, 2)
-    assert divide_by_central(p, det) == alg.gen("z", 1, 2)
-    assert divide_by_central(alg.gen("z", 1, 1), det) is None
-    # the constructor stores what it is given; the sum cancels det * det^-1
-    assert GLnElement(n, p, 1).dpow == 1
-    e = GLnElement.sum(n, [GLnElement(n, p, 1)])
-    assert e.dpow == 0 and e.poly == alg.gen("z", 1, 2)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rewrite_rules_lead_with_the_swapped_pair(n):
-    # the premise of the long division in divide_by_central: g h rewrites
-    # to c (h, g) plus words that are larger as sorted tuples, with c != 0
+    # a property of the tables: g h rewrites to c (h, g) plus words that
+    # are larger as sorted tuples, with c != 0, so the product of normal
+    # words u and w leads with sorted(u + w) in the (length, word) order
     alg = GLnElement.algebra(n)
     for g in range(alg.ngens()):
         for h in range(g):
@@ -218,75 +203,20 @@ def test_rewrite_rules_lead_with_the_swapped_pair(n):
             assert all(not c.is_zero() for c, w in rule if w == (h, g))
 
 
-def _dense_divide(p, det):
-    """Reference quotient: solve det * r = p degree by degree as a dense
-    linear system over Q(v) in the normal words of each degree."""
-    alg = p.alg
-    ddeg = len(next(iter(det.terms)))
-    by_deg = {}
-    for w, c in p.terms.items():
-        by_deg.setdefault(len(w), {})[w] = c
-    out = {}
-    for deg, terms in by_deg.items():
-        if deg < ddeg:
-            return None
-        cand = list(combinations_with_replacement(range(alg.ngens()),
-                                                  deg - ddeg))
-        prods = [det * NCPoly(alg, {w: ONE}) for w in cand]
-        support = sorted(set(terms).union(*(pr.terms for pr in prods)))
-        red, pivots = rref([[pr.terms.get(w, ZERO) for pr in prods]
-                            + [terms.get(w, ZERO)] for w in support])
-        if len(cand) in pivots:
-            return None
-        out.update((cand[c], row[-1]) for row, c in zip(red, pivots)
-                   if not row[-1].is_zero())
-    return NCPoly(alg, out)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_division_matches_dense_reference(n):
-    alg = GLnElement.algebra(n)
-    det = qdet(alg, n, cls="z")
-    for d in range(3):
-        for w in combinations_with_replacement(range(alg.ngens()), d):
-            p = det * NCPoly(alg, {w: ONE})
-            got = divide_by_central(p, det)
-            assert got == _dense_divide(p, det) == NCPoly(alg, {w: ONE})
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_division_rejects_a_non_divisible_remainder(n):
-    alg = GLnElement.algebra(n)
-    det = qdet(alg, n, cls="z")
-    w = alg.gen("z", 1, 2)
-    # u = z_1^1 has too low a degree; u = lead(det * w) contains lead(det)
-    # but is one term of det * w only
-    lead = min((det * w).terms, key=lambda x: (len(x), x))
-    for u in (alg.gen("z", 1, 1), NCPoly(alg, {lead: ONE})):
-        p = det * w + u
-        assert divide_by_central(p, det) is None
-        assert _dense_divide(p, det) is None
-
-
-def test_gl_products_leave_reduction_to_the_sum(monkeypatch):
-    # a product keeps det_q^-e unreduced and the sum reduces once: the star
-    # and Shilov checks at n = 3 make 49 division tries, 19 of them failed
-    # (166 and 136 when every product tried to reduce)
+def test_gl_products_leave_reduction_to_the_sum():
+    # there is no reduced form: a product adds the det_q powers, and a sum
+    # brings its terms to the largest power, also where det_q divides the
+    # result; equality and is_zero do not depend on the power
     n = 3
-    tries = []
-
-    def counted(p, det):
-        r = divide_by_central(p, det)
-        tries.append(r is None)
-        return r
-    monkeypatch.setattr(polmat, "divide_by_central", counted)
+    det = qdet(GLnElement.algebra(n), n, cls="z")
     prod = gl_star_gen(n, 1, 2) * gl_star_gen(n, 2, 1)
-    assert tries == [] and prod.dpow == 2
-    assert GLnElement.sum(n, [prod]) == prod
-    tries.clear()
+    assert prod.dpow == 2
+    s = GLnElement.sum(n, [prod, GLnElement.one(n)])
+    assert s.dpow == 2 and s.poly == prod.poly + det * det
+    whole = GLnElement.sum(n, [GLnElement(n, det * gl_star_gen(n, 1, 1).poly, 2)])
+    assert whole.dpow == 2 and whole == gl_star_gen(n, 1, 1)
+    assert (whole - gl_star_gen(n, 1, 1)).is_zero()
     assert suites.run_suite("star", n, 1).status == "PASS"
-    assert all(r.is_zero() for _, r in shilov_residuals_gl(n))
-    assert len(tries) <= 49 and sum(tries) <= 19
 
 
 def test_gl_equality_by_cross_multiplication():
@@ -297,13 +227,55 @@ def test_gl_equality_by_cross_multiplication():
     assert a == GLnElement.one(n)
 
 
-def test_det_star_scale_raises_when_star_det_has_the_wrong_shape(monkeypatch):
-    # with star(det_q) = det_q, star(det_q) det_q is det_q^2, not a scalar;
-    # the shape check must raise, also under python -O
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_det_star_scale_values(n):
+    # star(det_q) = q^{-n(n-1)} det_q^{-1}
+    assert polmat._det_star_scale(n) == qpow(-n * (n - 1))
+
+
+def test_det_star_scale_raises_when_star_det_has_the_wrong_shape(
+        monkeypatch, fresh_det_star_scale):
+    # with star(det_q) = det_q there is no det_q^{-1} to match; the shape
+    # check must raise ArithmeticError, not the ValueError of a negative
+    # power of det_q, also under python -O
     monkeypatch.setattr(GLnElement, "star", lambda self: self)
-    polmat._det_star_scale.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError, match="not a scalar multiple"):
-            polmat._det_star_scale(2)
-    finally:
-        polmat._det_star_scale.cache_clear()
+    with pytest.raises(ArithmeticError, match="not a scalar multiple"):
+        polmat._det_star_scale(2)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_det_star_scale_raises_on_one_extra_word(monkeypatch, fresh_det_star_scale, d):
+    # star(det_q) = (c det_q^{d-1} + z_1^2) det_q^{-d}: right at the leading
+    # word, wrong by one word elsewhere
+    n = 2
+    alg = GLnElement.algebra(n)
+    det = qdet(alg, n, cls="z")
+    bad = (det ** (d - 1)).scale(qpow(-2)) + alg.gen("z", 1, 2)
+    monkeypatch.setattr(GLnElement, "star", lambda self: GLnElement(n, bad, d))
+    with pytest.raises(ArithmeticError, match="not a scalar multiple"):
+        polmat._det_star_scale(n)
+
+
+def _swap_12_21(star_gen, n, a, al):
+    return star_gen(n, al, a) if {a, al} == {1, 2} else star_gen(n, a, al)
+
+
+def _negate_off_diagonal(star_gen, n, a, al):
+    return star_gen(n, a, al).scale(-ONE) if a != al else star_gen(n, a, al)
+
+
+@pytest.mark.parametrize("corrupt", [_swap_12_21, _negate_off_diagonal])
+def test_shilov_consistency_catches_a_corrupted_gl_star(monkeypatch,
+                                                        fresh_det_star_scale,
+                                                        corrupt):
+    # either corruption keeps star an involution on the generators, so the
+    # gl-star^2 rows of the star suite pass; the unitarity relations fail
+    n = 2
+    star_gen = polmat.gl_star_gen
+    monkeypatch.setattr(polmat, "gl_star_gen",
+                        lambda n, a, al: corrupt(star_gen, n, a, al))
+    assert suites.run_suite("star", n, 1).status == "PASS"
+    rep = suites.run_suite("shilov-consistency", n, 1)
+    assert rep.status == "FAIL"
+    assert rep.residual_sample == [str((form, i, j)) for form in ("col", "row")
+                                   for i in (1, 2) for j in (1, 2)]

@@ -5,7 +5,7 @@ import pytest
 
 from qball.algebras import matrix_algebra
 from qball.ncpoly import NCPoly
-from qball.qmatrix import (_inversions, centrality_residuals, l_pairs,
+from qball.qmatrix import (centrality_residuals, inversions, l_pairs,
                            laplace_residuals, qdet, qminor)
 from qball.scalars import ONE, neg_qpow, qpow
 
@@ -31,7 +31,7 @@ def _row_form_minor(alg, rows, cols, cls="t"):
 
     def word(perm):
         return tuple(alg.gen_code(cls, rows[perm[t]], cols[t]) for t in range(k))
-    return alg.poly({word(perm): neg_qpow(_inversions(perm))
+    return alg.poly({word(perm): neg_qpow(inversions(perm))
                      for perm in permutations(range(k))})
 
 
