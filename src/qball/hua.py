@@ -1,11 +1,18 @@
 """Mixed second derivatives at zero and the two quantum Hua systems.
 
-System A sums over the lower index with weights q^{2c}; system B is the
-transposed extraction over the upper index.  Both are checked at the kernel
-level (the coefficients of the Poisson kernel's (1,1) component reduce to
-zero on the Shilov boundary) and, for n = 1, at the integral level on
-explicit Poisson integrals of boundary functions.  Both levels read the
-derivatives off a ``Kernel``: an n = 1 Poisson integral is a kernel with
+The second derivative at zero d2(u; b, beta, a, alpha) of a kernel u is the
+second-leg polynomial paired with the first-leg basis word
+z_b^beta (z_a^alpha)*: the sum of the second legs of the terms of u whose
+first leg is that word, defined when those terms carry no powers.  System A sums
+d2(u; c, beta, c, alpha) over the lower index c with weights q^{2c};
+system B sums d2(u; a, gamma, b, gamma) over the upper index gamma with
+weights q^{2 gamma}.  A word z_c^gamma (z_c^gamma)* is read by both systems.
+
+Both systems are read in one pass over the kernel's terms
+(:func:`hua_sums`).  They are checked at the kernel level (the coefficients
+of the Poisson kernel's (1,1) component reduce to zero on the Shilov
+boundary) and, for n = 1, at the integral level on explicit Poisson
+integrals of boundary functions.  An n = 1 Poisson integral is a kernel with
 empty second legs, and U_q acts on it through ``Kernel.act``.
 
 The two ``verify_hua_*`` checkers return labelled residuals, ``[(key, r)]``
@@ -22,80 +29,45 @@ from .scalars import ONE, VScalar, qpow
 from .uqact import chevalley_gens
 
 
-def _word_11(alg, b: int, beta: int, a: int, alpha: int) -> tuple:
-    return (alg.gen_code("z", b, beta), alg.gen_code("zs", a, alpha))
+def hua_sums(u: Kernel, weighted: bool = True) -> list:
+    """Both Hua systems of u, read in one pass over its terms.
 
-
-def first_leg_groups(P: Kernel) -> dict:
-    """The terms of P whose first-leg word has two letters, the only ones a
-    second derivative at zero reads, grouped by that word in one pass over
-    the kernel, {w1: [(key, coeff), ...]}, so that each derivative of P is
-    one lookup."""
-    groups: dict = {}
-    for key, c in P.terms.items():
-        if len(key[4]) == 2:
-            groups.setdefault(key[4], []).append((key, c))
-    return groups
-
-
-def d2_at_zero_kernel(P: Kernel, b: int, beta: int, a: int, alpha: int,
-                      groups: dict = None) -> NCPoly:
-    """Kernel-valued derivative: the second legs paired with the first-leg
-    basis word z_b^beta (z_a^alpha)*.  ``groups`` is
-    :func:`first_leg_groups` of P, passed by a caller that extracts many
-    derivatives of one kernel; it is formed here when omitted."""
-    sp = P.space
-    if groups is None:
-        groups = first_leg_groups(P)
-    terms = groups.get(_word_11(sp.leg1.alg, b, beta, a, alpha), ())
-    if any(key[:4] != (0, 0, 0, 0) for key, _ in terms):
-        raise ValueError("kernel carries powers; derivative undefined")
-    return NCPoly(sp.leg2.alg, add_terms({}, ((key[5], c) for key, c in terms)))
-
-
-def _weights(n: int, weighted: bool) -> list:
-    return [qpow(2 * c) if weighted else ONE for c in range(1, n + 1)]
-
-
-def hua_sum_A(u: Kernel, n: int, alpha: int, beta: int,
-              weighted: bool = True, groups: dict = None) -> NCPoly:
-    """sum_c q^{2c} d2(u; c, beta, c, alpha); ``groups`` as for
-    :func:`d2_at_zero_kernel`."""
-    w = _weights(n, weighted)
-    if groups is None:
-        groups = first_leg_groups(u)
-    return u.space.leg2.alg.sum(
-        d2_at_zero_kernel(u, c, beta, c, alpha, groups).scale(w[c - 1])
-        for c in range(1, n + 1))
-
-
-def hua_sum_B(u: Kernel, n: int, a: int, b: int,
-              weighted: bool = True, groups: dict = None) -> NCPoly:
-    """sum_gamma q^{2 gamma} d2(u; a, gamma, b, gamma); ``groups`` as for
-    :func:`d2_at_zero_kernel`."""
-    w = _weights(n, weighted)
-    if groups is None:
-        groups = first_leg_groups(u)
-    return u.space.leg2.alg.sum(
-        d2_at_zero_kernel(u, a, g, b, g, groups).scale(w[g - 1])
-        for g in range(1, n + 1))
+    A term whose first leg is z_b^beta (z_a^alpha)* adds its second leg to
+    A(alpha, beta) when b = a = c, weighted by q^{2c}, and to B(b, a) when
+    beta = alpha = gamma, weighted by q^{2 gamma}.  A term that either system
+    reads must carry no powers.  Returns [((system, (x, y)), NCPoly)],
+    system A first and each system in row-major (x, y) order; with
+    ``weighted=False`` the weights are dropped (negative control).
+    """
+    n = u.space.n
+    gens = u.space.leg1.alg.gens
+    w = [qpow(2 * c) if weighted else ONE for c in range(n + 1)]
+    sums = {(s, (x, y)): {} for s in "AB"
+            for x in range(1, n + 1) for y in range(1, n + 1)}
+    for key, c in u.terms.items():
+        if len(key[4]) != 2:
+            continue
+        z, zs = (gens[g] for g in key[4])
+        if z.cls != "z" or zs.cls != "zs":
+            continue
+        reads = []
+        if z.i == zs.i:
+            reads.append((("A", (zs.j, z.j)), w[z.i]))
+        if z.j == zs.j:
+            reads.append((("B", (z.i, zs.i)), w[z.j]))
+        if reads and key[:4] != (0, 0, 0, 0):
+            raise ValueError("kernel carries powers; derivative undefined")
+        for label, weight in reads:
+            add_terms(sums[label], ((key[5], c * weight),))
+    alg2 = u.space.leg2.alg
+    return [(label, NCPoly(alg2, t)) for label, t in sums.items()]
 
 
 def verify_hua_kernel(P: Kernel, weighted: bool = True) -> list:
-    """Both Hua systems on the Poisson kernel P: for every index pair the
-    weighted derivative sum, reduced on the Shilov boundary, must vanish.
-    P's terms are grouped by first-leg word once for all the sums.
-
-    Returns [((system, (x, y)), residual)], system A first; with
-    ``weighted=False`` the q^{2c} weights are dropped (negative control).
-    """
-    n = P.space.n
-    groups = first_leg_groups(P)
-    pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
-    return ([(("A", xy), shilov_reduce(hua_sum_A(P, n, *xy, weighted, groups)))
-             for xy in pairs]
-            + [(("B", xy), shilov_reduce(hua_sum_B(P, n, *xy, weighted, groups)))
-               for xy in pairs])
+    """Both Hua systems on the Poisson kernel P: every weighted derivative
+    sum of :func:`hua_sums`, reduced on the Shilov boundary, must vanish.
+    Returns [((system, (x, y)), residual)] in the order of :func:`hua_sums`."""
+    return [(label, shilov_reduce(s)) for label, s in hua_sums(P, weighted)]
 
 
 def generator_words(n: int, max_len: int) -> list:
@@ -122,8 +94,7 @@ def verify_hua_theorem_n1(fs: list, xi_words: list, cutoff: int) -> list:
     suffix of xi on P f is formed once per f and kept in ``acted``, so
     words that share a suffix share its value (as ``uqact._suffix_value``).
     P's terms are grouped by second-leg exponent once
-    (:func:`~qball.kernels.exponent_groups`) for all the integrals, as
-    :func:`first_leg_groups` serves all the derivatives of one kernel.
+    (:func:`~qball.kernels.exponent_groups`) for all the integrals.
     """
     P = poisson_kernel(1, cutoff)
     exponents = exponent_groups(P)
@@ -136,9 +107,7 @@ def verify_hua_theorem_n1(fs: list, xi_words: list, cutoff: int) -> list:
                     acted[xi[j:]] = acted[xi[j + 1:]].act(xi[j])
             v = acted[xi]
             key = (fi, tuple(map(repr, xi)))
-            groups = first_leg_groups(v)
-            out += [(key + ("A",), hua_sum_A(v, 1, 1, 1, groups=groups)),
-                    (key + ("B",), hua_sum_B(v, 1, 1, 1, groups=groups))]
+            out += [(key + (system,), s) for (system, _), s in hua_sums(v)]
     return out
 
 
@@ -162,7 +131,8 @@ def p11_formula_kernel(n: int, cutoff: int) -> Kernel:
         for b in range(1, n + 1):
             for alpha in range(1, n + 1):
                 for beta in range(1, n + 1):
-                    w1 = _word_11(sp.leg1.alg, b, beta, a, alpha)
+                    w1 = (sp.leg1.alg.gen_code("z", b, beta),
+                          sp.leg1.alg.gen_code("zs", a, alpha))
                     w2 = (sp.leg2.alg.gen_code("zeta", a, alpha),
                           sp.leg2.alg.gen_code("zetas", b, beta))
                     c = geo * qpow(2 * (2 * n - a - alpha))

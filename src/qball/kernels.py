@@ -198,9 +198,10 @@ class KernelSpace:
                 terms[key + (w1, w2)] = coeff * c1 * c2
         return Kernel(self, terms, False)
 
-    def sum(self, kernels: Iterable["Kernel"], truncated: bool = False) -> "Kernel":
+    def sum(self, kernels: Iterable["Kernel"]) -> "Kernel":
         """Sum of kernels of this space, built once; the flag is sticky."""
         acc: dict = {}
+        truncated = False
         for k in kernels:
             if k.space is not self:
                 raise CutoffMismatchError("kernels from different spaces")

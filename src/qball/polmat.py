@@ -82,11 +82,13 @@ class GLnElement:
 
     @staticmethod
     def sum(n: int, elems: list) -> "GLnElement":
-        """One sum over the largest det_q power of the terms."""
+        """One sum over the largest det_q power of the terms; a term already
+        at that power is taken as it is."""
         alg = GLnElement.algebra(n)
         det = qdet(alg, n, cls="z")
         e = max((x.dpow for x in elems), default=0)
-        return GLnElement(n, alg.sum(x.poly * det ** (e - x.dpow) for x in elems), e)
+        return GLnElement(n, alg.sum(
+            x.poly if x.dpow == e else x.poly * det ** (e - x.dpow) for x in elems), e)
 
     def __add__(self, other: "GLnElement") -> "GLnElement":
         return GLnElement.sum(self.n, [self, other])

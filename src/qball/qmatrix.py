@@ -69,10 +69,10 @@ def laplace_residuals(n: int):
     return [("direct-order", s1 - det), ("reversed-order", s2 - det)]
 
 
-def centrality_residuals(n: int, cls: str = "t"):
+def centrality_residuals(n: int):
     """[det_q, g] for every generator of C[Mat_n]_q; all must vanish."""
-    alg = matrix_algebra(n, n, cls)
-    det = qdet(alg, n, cls)
+    alg = matrix_algebra(n, n)
+    det = qdet(alg, n)
     out = []
     for g in alg.gens:
         p = alg.gen(g.cls, g.i, g.j)

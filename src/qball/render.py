@@ -10,6 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .ncpoly import Algebra, NCPoly
+from .scalars import terms_to_text
 
 
 @lru_cache(maxsize=None)
@@ -51,10 +52,7 @@ def poly_text(p: NCPoly) -> str:
         else:
             term = f"({ctext})*{wtext}"
         bits.append(term)
-    out = bits[0]
-    for t in bits[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
+    return terms_to_text(bits)
 
 
 def _is_simple(ctext: str) -> bool:

@@ -348,10 +348,10 @@ class VScalar:
             return "0"
         num_terms = _poly_terms(self.num, self.shift)
         den_terms = _poly_terms(self.den, 0)
-        num_s = _terms_to_text(num_terms)
+        num_s = terms_to_text(num_terms)
         if den_terms == ["1"]:
             return num_s
-        den_s = _terms_to_text(den_terms)
+        den_s = terms_to_text(den_terms)
         if len(den_terms) > 1:
             den_s = f"({den_s})"
         elif not _is_atomic(den_s):
@@ -453,7 +453,8 @@ def _poly_terms(p: tuple, shift: int) -> list:
     return out
 
 
-def _terms_to_text(terms: list) -> str:
+def terms_to_text(terms: list) -> str:
+    """Join signed term texts: a term that starts with '-' is subtracted."""
     s = terms[0]
     for t in terms[1:]:
         s += " - " + t[1:] if t.startswith("-") else " + " + t

@@ -5,9 +5,9 @@ import pytest
 from qball import hua, suites
 from qball.boundary import N1Boundary, shilov_reduce
 from qball.classical import classical_kernel, classical_p11
-from qball.hua import (d2_at_zero_kernel, first_leg_groups, generator_words,
-                       hua_sum_A, hua_sum_B, match_up_to_scalar, p11_formula_kernel,
-                       p11_scalar, verify_hua_kernel, verify_hua_theorem_n1)
+from qball.hua import (generator_words, hua_sums, match_up_to_scalar,
+                       p11_formula_kernel, p11_scalar, verify_hua_kernel,
+                       verify_hua_theorem_n1)
 from qball.kernels import Kernel, poisson_integral_n1, poisson_kernel, poisson_space
 from qball.ncpoly import NCPoly, add_terms
 from qball.scalars import ONE, qpow
@@ -21,17 +21,24 @@ def _first_leg(poly, cutoff=4):
     return sp.from_pair(poly, sp.leg2.alg.one())
 
 
+def _word_11(sp, b, beta, a, alpha):
+    """The first-leg basis word z_b^beta (z_a^alpha)*."""
+    return (sp.leg1.alg.gen_code("z", b, beta), sp.leg1.alg.gen_code("zs", a, alpha))
+
+
 def test_d2_dual_basis():
+    # unweighted at n = 1, A(1, 1) and B(1, 1) are both d2(u; 1, 1, 1, 1)
     sp = poisson_space(1, 4)
     alg = sp.leg1.alg
     u = _first_leg(alg.gen("z", 1, 1) * alg.gen("zs", 1, 1))
-    assert d2_at_zero_kernel(u, 1, 1, 1, 1) == sp.leg2.alg.one()
-    assert d2_at_zero_kernel(_first_leg(alg.one()), 1, 1, 1, 1).is_zero()
+    assert [label for label, _ in hua_sums(u)] == [("A", (1, 1)), ("B", (1, 1))]
+    assert all(s == sp.leg2.alg.one() for _, s in hua_sums(u, weighted=False))
+    assert all(s.is_zero() for _, s in hua_sums(_first_leg(alg.one())))
 
 
 def test_d2_kernel_valued_on_poisson_kernel():
     P = poisson_kernel(1, 4)
-    val = d2_at_zero_kernel(P, 1, 1, 1, 1)
+    val = dict(hua_sums(P, weighted=False))[("A", (1, 1))]
     alg = P.space.leg2.alg
     expect = alg.gen("zeta", 1, 1) * alg.gen("zetas", 1, 1) - alg.one()
     # proportional to zeta zeta* - 1
@@ -49,43 +56,87 @@ def test_d2_kernel_valued_on_poisson_kernel():
 def _d2_by_scan(P, b, beta, a, alpha):
     """Reference: the derivative read off a scan of every term of P."""
     sp = P.space
-    target = hua._word_11(sp.leg1.alg, b, beta, a, alpha)
+    target = _word_11(sp, b, beta, a, alpha)
     terms = [(key, c) for key, c in P.terms.items() if key[4] == target]
     if any(key[:4] != (0, 0, 0, 0) for key, _ in terms):
         raise ValueError("kernel carries powers; derivative undefined")
     return NCPoly(sp.leg2.alg, add_terms({}, ((key[5], c) for key, c in terms)))
 
 
+def _hua_sums_by_scan(P, weighted):
+    """Reference: each labelled system summed index by index from
+    :func:`_d2_by_scan`, A(alpha, beta) = sum_c q^{2c} d2(c, beta, c, alpha)
+    and B(a, b) = sum_gamma q^{2 gamma} d2(a, gamma, b, gamma)."""
+    n = P.space.n
+    idx = range(1, n + 1)
+    w = {c: qpow(2 * c) if weighted else ONE for c in idx}
+    alg = P.space.leg2.alg
+    return ([(("A", (alpha, beta)), alg.sum(_d2_by_scan(P, c, beta, c, alpha).scale(w[c])
+                                            for c in idx))
+             for alpha in idx for beta in idx]
+            + [(("B", (a, b)), alg.sum(_d2_by_scan(P, a, g, b, g).scale(w[g])
+                                       for g in idx))
+               for a in idx for b in idx])
+
+
 @pytest.mark.parametrize("n, D", [(1, 4), (2, 2), (3, 1)])
 def test_d2_by_first_leg_lookup_matches_the_scan(n, D):
+    """The one-pass reading by first-leg word equals the per-index scan,
+    label by label and before the boundary reduction."""
     P = poisson_kernel(n, D)
-    groups = first_leg_groups(P)
     for b, beta, a, alpha in product(range(1, n + 1), repeat=4):
-        expect = _d2_by_scan(P, b, beta, a, alpha)
-        assert not expect.is_zero()
-        assert d2_at_zero_kernel(P, b, beta, a, alpha, groups) == expect
-        assert d2_at_zero_kernel(P, b, beta, a, alpha) == expect
+        assert not _d2_by_scan(P, b, beta, a, alpha).is_zero()
+    for weighted in (True, False):
+        got = hua_sums(P, weighted)
+        assert got == _hua_sums_by_scan(P, weighted)
+        assert not any(s.is_zero() for _, s in got)
+    if n == 2:
+        # the labels are not symmetric, so a transposed label would show
+        sums = dict(hua_sums(P))
+        for system in "AB":
+            assert sums[(system, (1, 2))] != sums[(system, (2, 1))]
 
 
 def test_d2_refuses_a_kernel_with_powers():
     sp = poisson_space(1, 4)
-    word = hua._word_11(sp.leg1.alg, 1, 1, 1, 1)
-    k = Kernel(sp, {(1, 0, 0, 0, word, ()): ONE})
+    k = Kernel(sp, {(1, 0, 0, 0, _word_11(sp, 1, 1, 1, 1), ()): ONE})
     with pytest.raises(ValueError, match="carries powers"):
-        d2_at_zero_kernel(k, 1, 1, 1, 1)
+        hua_sums(k)
     with pytest.raises(ValueError, match="carries powers"):
         hua.verify_hua_kernel(k)
+
+
+def test_hua_sums_refuse_powers_only_on_a_word_they_read():
+    sp = poisson_space(2, 2)
+    # z_1^1 (z_2^2)*: b != a and beta != alpha, so neither system reads it
+    unread = Kernel(sp, {(1, 0, 0, 0, _word_11(sp, 1, 1, 2, 2), ()): ONE})
+    assert all(s.is_zero() for _, s in hua_sums(unread))
+    assert all(r.is_zero() for _, r in verify_hua_kernel(unread))
+    # z_1^1 (z_1^2)*: b = a, so system A reads it
+    read = Kernel(sp, {(0, 1, 0, 0, _word_11(sp, 1, 1, 1, 2), ()): ONE})
+    with pytest.raises(ValueError, match="carries powers"):
+        hua_sums(read)
+    with pytest.raises(ValueError, match="carries powers"):
+        verify_hua_kernel(read)
+
+
+def test_hua_sums_ignore_words_of_one_letter_class():
+    sp = poisson_space(2, 2)
+    alg = sp.leg1.alg
+    for cls in ("z", "zs"):
+        w1 = (alg.gen_code(cls, 1, 1), alg.gen_code(cls, 1, 1))
+        k = Kernel(sp, {(0, 0, 0, 0, w1, ()): ONE, (1, 0, 0, 0, w1, ()): ONE})
+        assert all(s.is_zero() for _, s in hua_sums(k))
 
 
 def test_hua_sums_trivial_and_negative_control():
     sp = poisson_space(1, 4)
     alg = sp.leg1.alg
     one = _first_leg(alg.one())
-    assert hua_sum_A(one, 1, 1, 1).is_zero()
-    assert hua_sum_B(one, 1, 1, 1).is_zero()
+    assert all(s.is_zero() for _, s in hua_sums(one))
     # u = z z* is not a Poisson integral: the A-sum is q^2, not 0
     u = _first_leg(alg.gen("z", 1, 1) * alg.gen("zs", 1, 1))
-    assert hua_sum_A(u, 1, 1, 1) == sp.leg2.alg.scalar(qpow(2))
+    assert dict(hua_sums(u))[("A", (1, 1))] == sp.leg2.alg.scalar(qpow(2))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -111,9 +162,10 @@ def test_intermediate_display_before_reduction():
     c = match_up_to_scalar(P.first_component(1, 1), p11_formula_kernel(n, 2))
     assert c is not None
     geo = (ONE - qpow(-2 * n)) / (ONE - qpow(-2))
+    sums = dict(hua_sums(P))
     for alpha in range(1, n + 1):
         for beta in range(1, n + 1):
-            got = hua_sum_A(P, n, alpha, beta)
+            got = sums[("A", (alpha, beta))]
             expect = alg.zero()
             for cc in range(1, n + 1):
                 expect = expect + (alg.gen("zeta", cc, alpha)
@@ -150,9 +202,7 @@ def _hua_theorem_n1_unshared(fs, xi_words, cutoff, seen):
                 v = v.act(g)
             seen.append(v)
             key = (fi, tuple(map(repr, xi)))
-            groups = first_leg_groups(v)
-            out += [(key + ("A",), hua_sum_A(v, 1, 1, 1, groups=groups)),
-                    (key + ("B",), hua_sum_B(v, 1, 1, 1, groups=groups))]
+            out += [(key + (system,), s) for (system, _), s in hua_sums(v)]
     return out
 
 
@@ -165,17 +215,17 @@ def test_hua_theorem_n1_shares_suffixes_and_matches_the_unshared_loop(
     expect_seen = []
     expect = _hua_theorem_n1_unshared(fs, words, cutoff, expect_seen)
     seen, acts = [], []
-    real_sum_A, real_act = hua.hua_sum_A, Kernel.act
+    real_sums, real_act = hua.hua_sums, Kernel.act
 
-    def recording_sum_A(v, *args, **kw):
+    def recording_sums(v, *args, **kw):
         seen.append(v)
-        return real_sum_A(v, *args, **kw)
+        return real_sums(v, *args, **kw)
 
     def counted_act(self, g):
         acts.append(g)
         return real_act(self, g)
 
-    monkeypatch.setattr(hua, "hua_sum_A", recording_sum_A)
+    monkeypatch.setattr(hua, "hua_sums", recording_sums)
     monkeypatch.setattr(Kernel, "act", counted_act)
     got = verify_hua_theorem_n1(fs, words, cutoff)
     monkeypatch.undo()
@@ -234,8 +284,8 @@ def test_hua_kernel_suite_fails_without_the_shilov_reduction(monkeypatch):
 
 
 def test_hua_kernel_suite_fails_when_the_control_is_weighted(monkeypatch):
-    monkeypatch.setattr(hua, "_weights", lambda n, weighted:
-                        [qpow(2 * c) for c in range(1, n + 1)])
+    sums = hua.hua_sums
+    monkeypatch.setattr(hua, "hua_sums", lambda u, weighted=True: sums(u))
     rep = run_suite("hua-kernel", 2, 2)
     assert rep.status == "FAIL"
     assert rep.residual_sample == [
@@ -243,9 +293,10 @@ def test_hua_kernel_suite_fails_when_the_control_is_weighted(monkeypatch):
 
 
 def test_hua_theorem_suite_fails_on_a_broken_sum(monkeypatch):
-    sum_A = hua.hua_sum_A
-    monkeypatch.setattr(hua, "hua_sum_A", lambda u, *args, **kw:
-                        sum_A(u, *args, **kw) + u.space.leg2.alg.one())
+    sums = hua.hua_sums
+    monkeypatch.setattr(hua, "hua_sums", lambda u, *args, **kw: [
+        (label, s + u.space.leg2.alg.one() if label[0] == "A" else s)
+        for label, s in sums(u, *args, **kw)])
     rep = run_suite("hua-theorem-n1", 1, 3)
     assert rep.status == "FAIL"
     assert rep.residual_sample[0] == "(0, (), 'A')"

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and
-every top-level function and class of the package is used by some module.
+every top-level function and class of the package, and every method of a
+top-level class, is used by some module.
 
 No linter is part of the toolchain, so these are the checks that catch an
 import or a helper left behind when the code using it is deleted.
@@ -51,10 +52,24 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _definitions(tree):
+    """(dotted name, name) of each top-level function and class and of each
+    method of a top-level class, dunders left out, in definition order."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if (isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__"))):
+                    yield f"{node.name}.{m.name}", m.name
+
+
 def unreferenced_definitions(sources: dict) -> list:
-    """"module.name" for every top-level function and class of the given
-    modules ({module: source}) that no module refers to by name or by
-    attribute, in module and definition order."""
+    """"module.name" for every top-level function and class, and
+    "module.Class.method" for every method of a top-level class but the
+    dunders, of the given modules ({module: source}) that no module refers
+    to by name or by attribute, in module and definition order."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     used = set()
     for tree in trees.values():
@@ -65,10 +80,8 @@ def unreferenced_definitions(sources: dict) -> list:
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and node.level:
                 used |= {alias.name for alias in node.names}
-    return [f"{mod}.{node.name}" for mod, tree in trees.items()
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name not in used]
+    return [f"{mod}.{dotted}" for mod, tree in trees.items()
+            for dotted, name in _definitions(tree) if name not in used]
 
 
 def test_unreferenced_definition_finder():
@@ -76,6 +89,13 @@ def test_unreferenced_definition_finder():
                     "class C:\n    pass\n",
                "b": "from .a import f\n\ndef h():\n    return x.C\n"}
     assert unreferenced_definitions(sources) == ["b.h"]
+    # methods count too, the dunders apart; a method is used by attribute
+    sources["a"] += ("\nclass D:\n    def __init__(self):\n        self.m()\n"
+                     "\n    def m(self):\n        pass\n"
+                     "\n    def left(self):\n        pass\n"
+                     "\n    @staticmethod\n    def s():\n        pass\n")
+    sources["b"] += "\ndef k():\n    return D.s(), f\n"
+    assert unreferenced_definitions(sources) == ["a.D.left", "b.h", "b.k"]
 
 
 def test_every_definition_is_referenced():
