@@ -71,12 +71,13 @@ def _hua_sums_by_scan(P, weighted):
     idx = range(1, n + 1)
     w = {c: qpow(2 * c) if weighted else ONE for c in idx}
     alg = P.space.leg2.alg
-    return ([(("A", (alpha, beta)), alg.sum(_d2_by_scan(P, c, beta, c, alpha).scale(w[c])
-                                            for c in idx))
-             for alpha in idx for beta in idx]
-            + [(("B", (a, b)), alg.sum(_d2_by_scan(P, a, g, b, g).scale(w[g])
-                                       for g in idx))
-               for a in idx for b in idx])
+    A = [(("A", (alpha, beta)),
+          alg.sum(_d2_by_scan(P, c, beta, c, alpha).scale(w[c]) for c in idx))
+         for alpha in idx for beta in idx]
+    B = [(("B", (a, b)),
+          alg.sum(_d2_by_scan(P, a, g, b, g).scale(w[g]) for g in idx))
+         for a in idx for b in idx]
+    return A + B
 
 
 @pytest.mark.parametrize("n, D", [(1, 4), (2, 2), (3, 1)])
