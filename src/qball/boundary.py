@@ -149,9 +149,6 @@ class N1Boundary:
                                          for k1, c1 in self.terms.items()
                                          for k2, c2 in other.terms.items())))
 
-    def star(self) -> "N1Boundary":
-        return N1Boundary({-k: c for k, c in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, N1Boundary):
             return NotImplemented

@@ -50,7 +50,7 @@ exponent e in each product, and not at all for e = 0.
 ``Kernel`` is the one box-truncated element of the package; the n = 1
 Poisson integral is a kernel with empty second-leg words.  U_q acts across
 the legs by the coproduct (:meth:`Kernel.act`), and on one leg through
-``uqact.act_word`` plus closed forms for the power block (:func:`act_leg`).
+``uqact.act`` plus closed forms for the power block (:func:`act_leg`).
 
 Terms are accumulated with ``ncpoly.add_terms``.  A sum of many kernels
 goes through :meth:`KernelSpace.sum`, which adds every summand into one
@@ -125,8 +125,9 @@ def act_leg(ctx: LegContext, g: UqGen, a: int, b: int, word: tuple) -> dict:
 
         E(h w) = E(h) w + K(h) h E(w),    F(h w) = F(h) K^-1(w) + h F(w),
 
-    with E(w) and F(w) from ``uqact.act_word``.  Only E_n and F_n move h,
-    and K_n(h) = q^{b-a}.  They act on t and t* by
+    with E(w) and F(w) from ``uqact.act`` on the one-word polynomial w
+    (``uqact.act_word``).  Only E_n and F_n move h, and K_n(h) = q^{b-a}.
+    They act on t and t* by
 
         E_n t = q^{-1/2} t z_n^n,   F_n t* = q^{1/2} t* (z_n^n)*,
         E_n t* = 0,                 F_n t = 0,

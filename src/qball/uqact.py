@@ -15,9 +15,9 @@ the integer exponents m, derived from its K values once, and the K-factor
 of a word is one ``vpow`` of their sum.  On a word the rules unroll into
 one sum over its letters, generated in one place (``_leibniz_terms``).
 ``act`` feeds the terms of every word of a polynomial into one
-``normalize`` call, and ``act_word`` those of a single word;
-``kernels.act_leg`` applies ``act_word`` to the Wick word of a kernel leg
-and adds only the closed forms for the power block.
+``normalize`` call; ``act_word`` is ``act`` on a one-word polynomial, which
+``kernels.act_leg`` applies to the Wick word of a kernel leg before it
+adds the closed forms for the power block.
 
 Tables exist for the z / z* algebra and for the rectangular and square
 matrix algebras.  The Shilov boundary's zeta letters are Pol's codes
@@ -210,19 +210,11 @@ def _normal_form(alg: Algebra, terms: list) -> NCPoly:
     return normalize(alg, terms) if terms else alg.zero()
 
 
-def act_word(t: ActionTables, g: UqGen, word: tuple) -> NCPoly:
-    """``g`` on a word: K_i^{+-1} scales it by one power of v, and E_i or
-    F_i give the Leibniz sum of ``_leibniz_terms`` normalised in one call,
-    or zero without a call when ``g`` kills every letter."""
-    if g.kind in ("K", "Kinv"):
-        return NCPoly(t.alg, {word: t.k_word(g.i, word, inv=g.kind == "Kinv")})
-    return _normal_form(t.alg, _leibniz_terms(t, g, word, ONE, []))
-
-
 def act(t: ActionTables, g: UqGen, p: NCPoly) -> NCPoly:
     """``g`` on a polynomial.  K_i^{+-1} scales each word by its power of
     v.  For E_i and F_i the Leibniz terms of every word of p, with its
-    coefficient folded in, go into one ``normalize`` call."""
+    coefficient folded in, go into one ``normalize`` call, or zero comes
+    back without a call when ``g`` kills every letter."""
     if g.kind in ("K", "Kinv"):
         inv = g.kind == "Kinv"
         return NCPoly(t.alg, {w: c * t.k_word(g.i, w, inv)
@@ -231,6 +223,12 @@ def act(t: ActionTables, g: UqGen, p: NCPoly) -> NCPoly:
     for w, c in p.terms.items():
         _leibniz_terms(t, g, w, c, terms)
     return _normal_form(t.alg, terms)
+
+
+def act_word(t: ActionTables, g: UqGen, word: tuple) -> NCPoly:
+    """``g`` on one word: :func:`act` on the one-word polynomial.  The
+    benchmark's tracer (``perfbench/tracer.py``) counts calls by this name."""
+    return act(t, g, NCPoly(t.alg, {word: ONE}))
 
 
 def _suffix_value(t: ActionTables, acted: dict, gens: tuple) -> NCPoly:

@@ -110,8 +110,3 @@ def test_models_agree_on_the_reduction_span():
     for p in span:
         assert (N1Boundary.from_boundary(shilov_reduce(p))
                 == N1Boundary.from_boundary(p))
-
-
-def test_star_in_laurent_model():
-    f = N1Boundary({2: qpow(1), -1: ONE})
-    assert f.star() == N1Boundary({-2: qpow(1), 1: ONE})

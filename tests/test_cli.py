@@ -199,7 +199,6 @@ def test_shilov_consistency_fails_on_a_wrong_model(monkeypatch):
 
 @pytest.mark.parametrize("oracle, label", [
     ("classical_det_one_minus_zzstar", "y vs det(1-zz*)"),
-    ("classical_p11", "classical p11"),
     ("Fraction", "classical Poisson of zeta"),   # the expected image of zeta
 ])
 def test_limits_fails_on_a_corrupted_oracle(monkeypatch, tmp_path, oracle,

@@ -1,10 +1,11 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from qball import hua, suites
 from qball.boundary import N1Boundary, shilov_reduce
-from qball.classical import classical_kernel, classical_p11
+from qball.classical import classical_kernel
 from qball.hua import (generator_words, hua_sums, match_up_to_scalar,
                        p11_formula_kernel, p11_scalar, verify_hua_kernel,
                        verify_hua_theorem_n1)
@@ -247,7 +248,51 @@ def test_p11_matches_displayed_form():
         c = match_up_to_scalar(P.first_component(1, 1), p11_formula_kernel(n, cutoff))
         assert c == expected[n] == p11_scalar(n)
         scaled = P.first_component(1, 1).scale(c.inverse())
-        assert classical_kernel(scaled) == classical_p11(n)
+        assert classical_kernel(scaled) == _johnson_koranyi(n)
+
+
+def _johnson_koranyi(n):
+    """Hua's classical (1,1) pattern, with commuting letters: the sum over
+    a, b, alpha, beta of n zeta_a^alpha zetas_b^beta z_b^beta zs_a^alpha,
+    minus delta_ab delta^{alpha beta} z_b^beta zs_a^alpha."""
+    ref = {}
+    for a, b, alpha, beta in product(range(1, n + 1), repeat=4):
+        first = (("z", b, beta), ("zs", a, alpha))
+        second = (("zeta", a, alpha), ("zetas", b, beta))
+        add_terms(ref, [(tuple(sorted(first + second)), Fraction(n))])
+        if a == b and alpha == beta:
+            add_terms(ref, [(first, Fraction(-1))])
+    return ref
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_p11_formula_reduces_to_the_classical_pattern(n):
+    # at q = 1 the displayed form is Hua's pattern for the matrix ball
+    # (L. K. Hua, Harmonic Analysis of Functions of Several Complex
+    # Variables in the Classical Domains, AMS 1963)
+    assert classical_kernel(p11_formula_kernel(n, 1)) == _johnson_koranyi(n)
+
+
+def test_classical_pattern_sees_coefficients_and_delta_terms():
+    n = 2
+    formula = p11_formula_kernel(n, 1)
+    keys = list(formula.terms)
+    delta = next(k for k in keys if not k[5])
+
+    def changed(key, factor):
+        terms = dict(formula.terms)
+        if factor is None:
+            del terms[key]
+        else:
+            terms[key] = terms[key] * factor
+        return classical_kernel(Kernel(formula.space, terms))
+
+    expect = _johnson_koranyi(n)
+    assert changed(keys[0], qpow(1) + ONE) != expect
+    assert changed(delta, None) != expect
+    # a lone power of q is invisible at q = 1: the exact match with the
+    # quantum formula, not this pattern, is what pins the q-dependence
+    assert changed(keys[0], qpow(1)) == expect
 
 
 def test_suite_p11_fails_on_a_wrong_scalar(monkeypatch):

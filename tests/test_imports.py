@@ -1,12 +1,13 @@
 """Every name a module of the package imports is used in that module, and
 every top-level function and class of the package, and every method of a
-top-level class, is used by some module.
+top-level class, is used by some module and entered by some CLI run.
 
 No linter is part of the toolchain, so these are the checks that catch an
 import or a helper left behind when the code using it is deleted.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -53,16 +54,16 @@ def test_no_unused_imports(path):
 
 
 def _definitions(tree):
-    """(dotted name, name) of each top-level function and class and of each
+    """(dotted name, node) of each top-level function and class and of each
     method of a top-level class, dunders left out, in definition order."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.name
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
             for m in node.body:
                 if (isinstance(m, ast.FunctionDef)
                         and not (m.name.startswith("__") and m.name.endswith("__"))):
-                    yield f"{node.name}.{m.name}", m.name
+                    yield f"{node.name}.{m.name}", m
 
 
 def unreferenced_definitions(sources: dict) -> list:
@@ -81,7 +82,7 @@ def unreferenced_definitions(sources: dict) -> list:
             elif isinstance(node, ast.ImportFrom) and node.level:
                 used |= {alias.name for alias in node.names}
     return [f"{mod}.{dotted}" for mod, tree in trees.items()
-            for dotted, name in _definitions(tree) if name not in used]
+            for dotted, node in _definitions(tree) if node.name not in used]
 
 
 def test_unreferenced_definition_finder():
@@ -101,6 +102,64 @@ def test_unreferenced_definition_finder():
 def test_every_definition_is_referenced():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_definitions(sources) == []
+
+
+# CLI runs that between them enter every function of the package: the
+# suites at n = 1 and n = 2, the classical limits, and expressions that
+# reach every function of the parser and the renderer
+CLI_RUNS = [
+    ["verify", "--suite", "all", "--n", "1", "--cutoff", "6"],
+    ["verify", "--suite", "all", "--n", "2", "--cutoff", "2"],
+    ["limits", "--n", "1"], ["limits", "--n", "2"], ["limits", "--n", "3"],
+    ["normalize", "--n", "2", "(1+q)^-1*z[1,1]*zs[1,1]-1/2+(z[1,2]+v)^2"],
+    ["normalize", "--n", "1", "(z[1,1]-z[1,1]+2)^-1*zs[1,1]"],
+    ["normalize", "--n", "1", "q^2-1/3"],
+]
+
+# functions that no CLI run enters, each with the reason it is kept
+NOT_ENTERED = {
+    "kernels._power_text": "used by Kernel.__repr__ only",
+    "kernels._term_sort_key": "used by Kernel.__repr__ only",
+    "uqact.ActionTables._entry": "abstract; every table class overrides it",
+}
+
+_PROBE = """
+import contextlib, io, json, sys
+from qball.cli import main
+runs, output = json.loads(sys.argv[1]), sys.argv[2]
+codes = set()
+sys.setprofile(lambda frame, event, arg:
+               event == "call" and codes.add(frame.f_code))
+with contextlib.redirect_stdout(io.StringIO()):
+    exits = [main(run if run[0] == "normalize" else run + ["--output", output])
+             for run in runs]
+sys.setprofile(None)
+print(json.dumps([exits, [[c.co_filename, c.co_firstlineno] for c in codes]]))
+"""
+
+
+def test_every_function_is_entered_by_a_cli_run(tmp_path):
+    """Each non-dunder function and method of the package is entered by
+    some CLI run, traced with ``sys.setprofile`` in a fresh process (so no
+    cache of an earlier test hides a call).  Unlike the name check above,
+    this sees a dead method that shares its name with a live one."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(CLI_RUNS),
+         str(tmp_path / "report.json")],
+        env=env, check=True, capture_output=True, text=True).stdout
+    exits, codes = json.loads(out)
+    assert exits == [0] * len(CLI_RUNS)
+    entered = {(Path(path).stem, line) for path, line in codes
+               if Path(path).parent == PACKAGE}
+    # a code object starts at its first decorator, if it has one
+    missed = {f"{path.stem}.{dotted}"
+              for path in PACKAGE.glob("*.py")
+              for dotted, node in _definitions(ast.parse(path.read_text()))
+              if isinstance(node, ast.FunctionDef)
+              and (path.stem, (node.decorator_list or [node])[0].lineno)
+              not in entered}
+    assert missed == set(NOT_ENTERED)
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
