@@ -10,9 +10,10 @@
 
 * ``pol_algebra(n)`` -- the *-algebra on z generators and their stars zs
   in Wick order: z-letters sorted, then starred letters sorted.  The
-  z-block and the star-block each satisfy the matrix relations above; a
-  starred letter moves right past a plain letter with the R-matrix cross
-  relation
+  z-block satisfies the matrix relations above and the star-block their
+  star, the same relations with q replaced by q^-1; one rule
+  (``_block_rule_pair``) writes both.  A starred letter moves right past a
+  plain letter with the R-matrix cross relation
 
       (z_b^beta)* z_a^alpha = q^2 sum R(b,a,b',a') R(beta,alpha,beta',alpha')
                               z_a'^alpha' (z_b'^beta')*
@@ -40,34 +41,20 @@ from .ncpoly import Algebra, Generator
 from .scalars import ONE, qpow
 
 
-def _matrix_rule_pair(g: Generator, h: Generator):
+def _block_rule_pair(g: Generator, h: Generator, s: int):
     """Expansion of g*h for same-class generators with g > h, as
-    [(coeff, (name tuples...))]; indices are (row, col) pairs."""
-    i2, j2 = g.i, g.j
-    i1, j1 = h.i, h.j
-    swap = (h, g)
-    if i2 == i1:
-        return [(qpow(-1), swap)]
-    if j2 == j1:
-        return [(qpow(-1), swap)]
-    if j2 < j1:
-        return [(ONE, swap)]
-    # i2 > i1, j2 > j1
-    cross = (Generator(h.cls, i1, j2), Generator(g.cls, i2, j1))
-    return [(ONE, swap), (-(qpow(1) - qpow(-1)), cross)]
-
-
-def _star_rule_pair(g: Generator, h: Generator):
-    """Same-class rule for the starred block (the * of the matrix rule)."""
+    [(coeff, (name tuples...))]; indices are (row, col) pairs.  s = 1 gives
+    the matrix relations, s = -1 their star, the starred block's rule."""
     i2, j2 = g.i, g.j
     i1, j1 = h.i, h.j
     swap = (h, g)
     if i2 == i1 or j2 == j1:
-        return [(qpow(1), swap)]
+        return [(qpow(-s), swap)]
     if j2 < j1:
         return [(ONE, swap)]
+    # i2 > i1, j2 > j1
     cross = (Generator(h.cls, i1, j2), Generator(g.cls, i2, j1))
-    return [(ONE, swap), ((qpow(1) - qpow(-1)), cross)]
+    return [(ONE, swap), (qpow(-s) - qpow(s), cross)]
 
 
 def _r_values(b: int, a: int, n: int):
@@ -102,9 +89,9 @@ def _make_rule(n: int):
     def rule(alg: Algebra, gc: int, hc: int):
         g, h = alg.gens[gc], alg.gens[hc]
         if gc < plain:
-            pairs = _matrix_rule_pair(g, h)
+            pairs = _block_rule_pair(g, h, 1)
         elif hc >= plain:
-            pairs = _star_rule_pair(g, h)
+            pairs = _block_rule_pair(g, h, -1)
         else:
             pairs = _cross_rule(n, g, h)
         return [(c, tuple(alg.code[x] for x in w)) for c, w in pairs]
@@ -112,7 +99,7 @@ def _make_rule(n: int):
 
 
 def _matrix_only_rule(alg: Algebra, gc: int, hc: int):
-    pairs = _matrix_rule_pair(alg.gens[gc], alg.gens[hc])
+    pairs = _block_rule_pair(alg.gens[gc], alg.gens[hc], 1)
     return [(c, tuple(alg.code[x] for x in w)) for c, w in pairs]
 
 

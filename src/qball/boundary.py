@@ -7,9 +7,11 @@ The general model is the zeta-letter Wick algebra reduced, on the span
     sum_gamma zeta_c^gamma (zeta_c'^gamma)*  = q^{c+c'-2n} delta_{cc'}
 
 The first family generates the defining ideal; the transposed family holds
-in the quotient as well (it is verified exactly in the C[GL_n]_q model by
-``qball.polmat.shilov_residuals_gl``) and is what the second Hua system
-consumes.  Reduction outside the supported span is out of scope and raises.
+in the quotient as well and is what the second Hua system consumes.  Both
+families are listed once (``unitarity_relations``): the reduction reads its
+rows from that list, and ``qball.polmat.shilov_residuals_gl`` verifies the
+same list exactly in the C[GL_n]_q model.  Reduction outside the supported
+span is out of scope and raises.
 
 For n = 1 the quotient is the commutative Laurent ring in one unitary
 generator; :class:`N1Boundary` implements it together with the invariant
@@ -19,6 +21,7 @@ integral (the constant-term functional).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .algebras import bidegree, boundary_algebra
 from .linalg import rref
@@ -33,50 +36,52 @@ class UnsupportedSpanError(ValueError):
 def _span_basis(n: int):
     """Basis of the reduction span: () first, then the (1,1) words."""
     alg = boundary_algebra(n)
-    words = [()]
-    for a in range(1, n + 1):
-        for al in range(1, n + 1):
-            for b in range(1, n + 1):
-                for be in range(1, n + 1):
-                    words.append((alg.gen_code("zeta", a, al),
-                                  alg.gen_code("zetas", b, be)))
-    return alg, words
+    rng = range(1, n + 1)
+    return alg, [()] + [(alg.gen_code("zeta", a, al), alg.gen_code("zetas", b, be))
+                        for a, al, b, be in product(rng, repeat=4)]
+
+
+def unitarity_relations(n: int):
+    """The two unitarity families, column form then row form, as
+    (label, [(coeff, (a, alpha, b, beta))], const), each read as
+    sum coeff zeta_a^alpha (zeta_b^beta)* = const.  Both the reduction
+    (:func:`_reducer`) and its check in the C[GL_n]_q model
+    (``qball.polmat.shilov_residuals_gl``) read them from here."""
+    rng = range(1, n + 1)
+    for alpha in rng:
+        for beta in rng:
+            yield (("col", alpha, beta),
+                   [(qpow(2 * n - alpha - beta), (j, alpha, j, beta)) for j in rng],
+                   ONE if alpha == beta else ZERO)
+    for c in rng:
+        for cp in rng:
+            yield (("row", c, cp),
+                   [(ONE, (c, gamma, cp, gamma)) for gamma in rng],
+                   qpow(c + cp - 2 * n) if c == cp else ZERO)
 
 
 @lru_cache(maxsize=None)
 def _reducer(n: int):
-    """RREF of the relation span, as a list of (pivot index, row)."""
+    """RREF of the relation rows: the span basis, its index, and
+    {pivot index: {index: coeff}}, the pivot word's rewrite."""
     alg, words = _span_basis(n)
     pos = {w: i for i, w in enumerate(words)}
     rels = []
-    for alpha in range(1, n + 1):
-        for beta in range(1, n + 1):
-            row = [ZERO] * len(words)
-            for j in range(1, n + 1):
-                w = (alg.gen_code("zeta", j, alpha), alg.gen_code("zetas", j, beta))
-                row[pos[w]] = qpow(2 * n - alpha - beta)
-            if alpha == beta:
-                row[0] = row[0] - ONE
-            rels.append(row)
-    for c in range(1, n + 1):
-        for cp in range(1, n + 1):
-            row = [ZERO] * len(words)
-            for gamma in range(1, n + 1):
-                w = (alg.gen_code("zeta", c, gamma), alg.gen_code("zetas", cp, gamma))
-                row[pos[w]] = ONE
-            if c == cp:
-                row[0] = row[0] - qpow(c + cp - 2 * n)
-            rels.append(row)
+    for _, terms, const in unitarity_relations(n):
+        row = [ZERO] * len(words)
+        for coeff, (a, alpha, b, beta) in terms:
+            w = (alg.gen_code("zeta", a, alpha), alg.gen_code("zetas", b, beta))
+            row[pos[w]] = coeff
+        row[0] = -const
+        rels.append(row)
     # eliminate high-index monomials first so that, per relation (alpha,
     # beta), the lower-index-n representative is the one rewritten away
     order = list(range(len(words) - 1, -1, -1))
     red, pivots = rref([[r[c] for c in order] for r in rels])
-    rules = []
-    for row, p in zip(red, pivots):
-        rules.append((order[p], {c: row[i]
-                                 for i, c in enumerate(order)
-                                 if i != p and not row[i].is_zero()}))
-    return alg, words, pos, dict(rules)
+    rules = {order[p]: {c: row[i] for i, c in enumerate(order)
+                        if i != p and not row[i].is_zero()}
+             for row, p in zip(red, pivots)}
+    return alg, words, pos, rules
 
 
 def shilov_reduce(p: NCPoly) -> NCPoly:
@@ -140,9 +145,6 @@ class N1Boundary:
             j, k = bidegree(p.alg, w)
             return j - k
         return N1Boundary(add_terms({}, ((exponent(w), c) for w, c in p.terms.items())))
-
-    def __add__(self, other: "N1Boundary") -> "N1Boundary":
-        return N1Boundary(add_terms(dict(self.terms), other.terms.items()))
 
     def __mul__(self, other: "N1Boundary") -> "N1Boundary":
         return N1Boundary(add_terms({}, ((k1 + k2, c1 * c2)

@@ -22,8 +22,7 @@ with every r required to vanish; ``suites`` turns them into a report.
 from __future__ import annotations
 
 from .boundary import shilov_reduce
-from .kernels import (Kernel, exponent_groups, poisson_integral_n1, poisson_kernel,
-                      poisson_space)
+from .kernels import Kernel, poisson_integral_n1, poisson_kernel, poisson_space
 from .ncpoly import NCPoly, add_terms
 from .scalars import ONE, VScalar, qpow
 from .uqact import chevalley_gens
@@ -93,14 +92,12 @@ def verify_hua_theorem_n1(fs: list, xi_words: list, cutoff: int) -> list:
     with 1 + |xi| > cutoff reads a truncated component.  The value of every
     suffix of xi on P f is formed once per f and kept in ``acted``, so
     words that share a suffix share its value (as ``uqact._suffix_value``).
-    P's terms are grouped by second-leg exponent once
-    (:func:`~qball.kernels.exponent_groups`) for all the integrals.
+    All the integrals come from one call, which groups P's terms by
+    second-leg exponent once (:func:`~qball.kernels.poisson_integral_n1`).
     """
-    P = poisson_kernel(1, cutoff)
-    exponents = exponent_groups(P)
     out = []
-    for fi, f in enumerate(fs):
-        acted = {(): poisson_integral_n1(P, f, exponents)}
+    for fi, u in enumerate(poisson_integral_n1(poisson_kernel(1, cutoff), fs)):
+        acted = {(): u}
         for xi in xi_words:
             for j in range(len(xi) - 1, -1, -1):
                 if xi[j:] not in acted:

@@ -485,44 +485,46 @@ def check_invariant(k: Kernel) -> list:
 # the invariant kernels L and Lbar
 # ---------------------------------------------------------------------------
 
-def _minor_data(n: int, J: tuple):
-    """Index data for the subset J: lower rows A, upper columns U, sizes."""
-    A = tuple(j for j in J if j <= n)
-    removed = tuple(b for b in range(n + 1, 2 * n + 1) if b not in J)
-    U = tuple(sorted(n + 1 - (b - n) for b in removed))
-    Jc = tuple(j for j in range(1, 2 * n + 1) if j not in J)
-    return A, U, Jc, len(A)
+def _invariant_kernel(n: int, cutoff: int, bar: bool) -> Kernel:
+    """The sum over the n-subsets J of {1..2n} of the z-minor and the
+    zeta-minor on lower rows A = J & {1..n} and upper columns
+    U = {2n + 1 - b : b in {n+1..2n} - J}, scaled by (-1)^k q^-k, k = |A|.
+    L stars the second leg's minor and carries the power key t x tau*;
+    Lbar stars the first leg's, carries t* x tau and the extra scale
+    (-q)^{-2 l(J, J^c)}.  The J = {n+1..2n} term is the monomial
+    prefactor."""
+    sp = poisson_space(n, cutoff)
+    rng = range(1, 2 * n + 1)
+
+    def term(J):
+        A = tuple(j for j in J if j <= n)
+        U = tuple(sorted(2 * n + 1 - b for b in rng if b > n and b not in J))
+        k = len(A)
+        m1 = qminor(sp.leg1.alg, A, U, cls="z")
+        m2 = qminor(sp.leg2.alg, A, U, cls="zeta")
+        scale = qpow(-k) * VScalar.from_int((-1) ** k)
+        if not bar:
+            return sp.from_pair(m1, star_poly(m2), key=(1, 0, 0, 1), coeff=scale)
+        ell = l_pairs(J, tuple(j for j in rng if j not in J))
+        return sp.from_pair(star_poly(m1), m2, key=(0, 1, 1, 0),
+                            coeff=scale * neg_qpow(-2 * ell))
+    return sp.sum(map(term, combinations(rng, n)))
 
 
 @lru_cache(maxsize=None)
 def build_L(n: int, cutoff: int) -> Kernel:
     """The invariant kernel with first-leg z-minors and second-leg starred
-    zeta-minors; the J = {n+1..2n} term is the monomial prefactor t x tau*.
-    Built once per (n, cutoff) for the ``invariance`` and ``poisson``
-    suites and the Poisson build, as is :func:`build_Lbar`."""
-    sp = poisson_space(n, cutoff)
-
-    def term(J):
-        A, U, _, k = _minor_data(n, J)
-        m1 = qminor(sp.leg1.alg, A, U, cls="z")
-        m2 = star_poly(qminor(sp.leg2.alg, A, U, cls="zeta"))
-        scale = qpow(-k) * VScalar.from_int((-1) ** k)
-        return sp.from_pair(m1, m2, key=(1, 0, 0, 1), coeff=scale)
-    return sp.sum(map(term, combinations(range(1, 2 * n + 1), n)))
+    zeta-minors (:func:`_invariant_kernel`).  Built once per (n, cutoff)
+    for the ``invariance`` and ``poisson`` suites and the Poisson build, as
+    is :func:`build_Lbar`."""
+    return _invariant_kernel(n, cutoff, False)
 
 
 @lru_cache(maxsize=None)
 def build_Lbar(n: int, cutoff: int) -> Kernel:
-    sp = poisson_space(n, cutoff)
-
-    def term(J):
-        A, U, Jc, k = _minor_data(n, J)
-        ell = l_pairs(J, Jc)
-        m1 = star_poly(qminor(sp.leg1.alg, A, U, cls="z"))
-        m2 = qminor(sp.leg2.alg, A, U, cls="zeta")
-        scale = (qpow(-k) * neg_qpow(-2 * ell)) * VScalar.from_int((-1) ** k)
-        return sp.from_pair(m1, m2, key=(0, 1, 1, 0), coeff=scale)
-    return sp.sum(map(term, combinations(range(1, 2 * n + 1), n)))
+    """The invariant kernel with first-leg starred z-minors and second-leg
+    zeta-minors (:func:`_invariant_kernel`)."""
+    return _invariant_kernel(n, cutoff, True)
 
 
 # ---------------------------------------------------------------------------
@@ -696,41 +698,35 @@ def _normalized_poisson(n: int, cutoff: int) -> Kernel:
     return praw.scale(p00.inverse())
 
 
-def exponent_groups(P: Kernel) -> dict:
-    """The terms of an n = 1 kernel P grouped by the exponent e = j - k of
-    their second-leg word zeta^j zeta*^k, {e: [(w1, coeff), ...]}, in one
-    pass that also checks that no term carries powers."""
-    alg2 = P.space.leg2.alg
-    groups: dict = {}
-    for (a, b, c, d, w1, w2), x in P.terms.items():
-        if a or b or c or d:
-            raise PowerSignatureError("kernel carries powers; integrate after "
-                                      "the substitution")
-        j, k = bidegree(alg2, w2)
-        groups.setdefault(j - k, []).append((w1, x))
-    return groups
-
-
-def poisson_integral_n1(P: Kernel, f: N1Boundary, groups: dict = None) -> Kernel:
-    """(id x nu)(P (1 x f)) for n = 1, in P's space with empty second legs.
+def poisson_integral_n1(P: Kernel, fs: list) -> list:
+    """(id x nu)(P (1 x f)) for n = 1 and each f of ``fs``, in P's space
+    with empty second legs.
 
     A second-leg word w2 = zeta^j zeta*^k is zeta^e with e = j - k in the
     Laurent model, so by linearity of the integral a term c (w1 x w2)
     contributes c nu(zeta^e f) to w1.  nu takes the constant term, and
     zeta^e f_m zeta^m = f_m zeta^(e + m), so only e = -m meets the term
-    f_m zeta^m of f: nu(zeta^e f) = f_{-e}.  It is formed once per exponent
-    of P, and a group of terms whose value is zero is skipped whole.
-    ``groups`` is :func:`exponent_groups` of P, passed by a caller that
-    integrates many f against one kernel; it is formed here when omitted.
+    f_m zeta^m of f: nu(zeta^e f) = f_{-e}.  P's terms are grouped by e
+    once for all of ``fs``, in one pass that also checks that no term
+    carries powers; nu(zeta^e f) is formed once per exponent and f, and a
+    group whose value is zero is skipped whole.
     """
     sp = P.space
     if sp.n != 1:
         raise ValueError("the integral model is implemented for n = 1")
-    if groups is None:
-        groups = exponent_groups(P)
-    acc: dict = {}
-    for e, terms in groups.items():
-        x = nu_n1(N1Boundary.zeta(e) * f)
-        if x:
-            add_terms(acc, (((0, 0, 0, 0, w1, ()), c * x) for w1, c in terms))
-    return Kernel(sp, acc, P.truncated)
+    groups: dict = {}
+    for (a, b, c, d, w1, w2), x in P.terms.items():
+        if a or b or c or d:
+            raise PowerSignatureError("kernel carries powers; integrate after "
+                                      "the substitution")
+        j, k = bidegree(sp.leg2.alg, w2)
+        groups.setdefault(j - k, []).append((w1, x))
+    out = []
+    for f in fs:
+        acc: dict = {}
+        for e, terms in groups.items():
+            x = nu_n1(N1Boundary.zeta(e) * f)
+            if x:
+                add_terms(acc, (((0, 0, 0, 0, w1, ()), c * x) for w1, c in terms))
+        out.append(Kernel(sp, acc, P.truncated))
+    return out

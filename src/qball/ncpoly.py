@@ -242,11 +242,6 @@ class NCPoly:
                                     for w1, c1 in self.terms.items()
                                     for w2, c2 in other.terms.items()))
 
-    def __rmul__(self, other) -> "NCPoly":
-        if isinstance(other, (int, VScalar)):
-            return self.scale(other)
-        return NotImplemented
-
     def scale(self, c) -> "NCPoly":
         c = VScalar.coerce(c)
         if c.is_zero():
@@ -282,9 +277,6 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             return NotImplemented
         return self.alg is other.alg and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((id(self.alg), frozenset(self.terms.items())))
 
     def __repr__(self):
         from .render import poly_text

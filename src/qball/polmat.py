@@ -5,7 +5,10 @@ pieces of function theory on top of it:
 
 * the element ``y`` whose classical limit is det(1 - z z*),
 * the localized holomorphic algebra C[GL_n]_q with the involution
-  z -> (-q)^{a+alpha-2n} det_q^{-1} (complementary minor).
+  z -> (-q)^{a+alpha-2n} det_q^{-1} (complementary minor), in which
+  ``shilov_residuals_gl`` checks the unitarity relations that the Shilov
+  reduction uses, read from the one list of them
+  (``qball.boundary.unitarity_relations``).
 
 Box-truncated elements are ``qball.kernels.Kernel``s.
 """
@@ -16,9 +19,10 @@ from functools import lru_cache
 from itertools import combinations
 
 from .algebras import matrix_algebra, pol_algebra, star_poly
+from .boundary import unitarity_relations
 from .ncpoly import Algebra, NCPoly, add_terms
 from .qmatrix import qdet, qminor
-from .scalars import ONE, VScalar, neg_qpow, qpow
+from .scalars import ONE, VScalar, neg_qpow
 
 
 # ---------------------------------------------------------------------------
@@ -161,29 +165,19 @@ def _det_star_scale(n: int) -> VScalar:
 
 
 def shilov_residuals_gl(n: int):
-    """The two unitarity families evaluated in the C[GL_n]_q model.
+    """The unitarity relations of the Shilov reduction
+    (``qball.boundary.unitarity_relations``) evaluated in the C[GL_n]_q
+    model, as (label, sum coeff z_a^alpha (z_b^beta)* - const).
 
-    Column form:  sum_j q^{2n-alpha-beta} z_j^alpha (z_j^beta)* - delta
-    Row form:     sum_gamma z_c^gamma (z_c'^gamma)* - q^{c+c'-2n} delta
-
-    Both must vanish identically; the row family is what justifies adding
-    the transposed relations to the boundary reduction.
+    All must vanish identically; the row family is what justifies adding
+    the transposed relations to the boundary reduction.  A zero constant
+    adds no term, so no det_q power is formed for it.
     """
     res = []
-    rng = range(1, n + 1)
-    one = GLnElement.one(n)
-    for alpha in rng:
-        for beta in rng:
-            terms = [(GLnElement.of_gen(n, j, alpha) * gl_star_gen(n, j, beta))
-                     .scale(qpow(2 * n - alpha - beta)) for j in rng]
-            if alpha == beta:
-                terms.append(one.scale(-ONE))
-            res.append((("col", alpha, beta), GLnElement.sum(n, terms)))
-    for c in rng:
-        for cp in rng:
-            terms = [GLnElement.of_gen(n, c, gamma) * gl_star_gen(n, cp, gamma)
-                     for gamma in rng]
-            if c == cp:
-                terms.append(one.scale(-qpow(c + cp - 2 * n)))
-            res.append((("row", c, cp), GLnElement.sum(n, terms)))
+    for label, terms, const in unitarity_relations(n):
+        elems = [(GLnElement.of_gen(n, a, alpha) * gl_star_gen(n, b, beta)).scale(coeff)
+                 for coeff, (a, alpha, b, beta) in terms]
+        if const:
+            elems.append(GLnElement.one(n).scale(-const))
+        res.append((label, GLnElement.sum(n, elems)))
     return res

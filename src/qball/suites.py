@@ -141,7 +141,7 @@ def suite_poisson(rep: Report, n: int, cutoff: int):
                        P_raw - kinverse(A) * mid * kinverse(B)))
         P = poisson_kernel(1, D)
         checks.append(("P(1) - 1",
-                       poisson_integral_n1(P, N1Boundary.one()) - sp.unit()))
+                       poisson_integral_n1(P, [N1Boundary.one()])[0] - sp.unit()))
         # telescoping partial sums of z^k (1 - z z*) z*^k, with z^k and
         # z*^k formed one step at a time
         z, zs = a1.gen("z", 1, 1), a1.gen("zs", 1, 1)
@@ -225,8 +225,8 @@ def suite_limits(rep: Report, n: int, cutoff: int):
     if classical_poly(y_element(n)) != classical_det_one_minus_zzstar(n):
         rep.fail(["y vs det(1-zz*)"])
     if n == 1:
-        u = poisson_integral_n1(poisson_kernel(1, max(cutoff, 2)),
-                                N1Boundary.zeta(1))
+        [u] = poisson_integral_n1(poisson_kernel(1, max(cutoff, 2)),
+                                  [N1Boundary.zeta(1)])
         if classical_kernel(u) != {(("z", 1, 1),): Fraction(1)}:
             rep.fail(["classical Poisson of zeta"])
 

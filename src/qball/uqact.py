@@ -19,11 +19,15 @@ one sum over its letters, generated in one place (``_leibniz_terms``).
 ``kernels.act_leg`` applies to the Wick word of a kernel leg before it
 adds the closed forms for the power block.
 
-Tables exist for the z / z* algebra and for the rectangular and square
-matrix algebras.  The Shilov boundary's zeta letters are Pol's codes
-renamed (``algebras.boundary_algebra``), so the second kernel leg acts
-through ``pol_tables`` too.  The action on starred letters is
-derived from the compatibility (a f)* = (S(a))* f*, which fixes
+One ``ActionTables`` class reads its values from an entry function:
+``matrix_entry`` for the rectangular and square matrix algebras and
+``pol_entry`` for the z / z* algebra.  The sl_2 action on one moving
+index (``_sl2_entry``) is written once; it is the matrix column action
+and Pol's action at i < n (row index) and i > n (column index 2n - i).
+The Shilov boundary's zeta letters are Pol's codes renamed
+(``algebras.boundary_algebra``), so the second kernel leg acts through
+``pol_tables`` too.  The action on starred letters is derived from the
+compatibility (a f)* = (S(a))* f*, which fixes
 
     E_i(f*) = +-q^{-2} (F_i f)*,     F_i(f*) = +-q^{2} (E_i f)*,
 
@@ -77,9 +81,11 @@ def cartan_entry(i: int, j: int) -> int:
 
 
 class ActionTables:
-    """E/F/K values on the generators of one algebra, for U_q sl_2n."""
+    """E/F/K values on the generators of one algebra, for U_q sl_2n, from
+    ``entry(alg, n, g, i)``, which gives E_i g, F_i g and the K_i
+    eigenvalue of the generator g."""
 
-    def __init__(self, alg: Algebra, n: int):
+    def __init__(self, alg: Algebra, n: int, entry):
         self.alg = alg
         self.n = n
         self.E: dict = {}
@@ -88,16 +94,13 @@ class ActionTables:
         self.k_exp: dict = {i: [] for i in range(1, 2 * n)}  # K_i = v^k_exp[i][code]
         for code, g in enumerate(alg.gens):
             for i in range(1, 2 * n):
-                e, f, k = self._entry(g, i)
+                e, f, k = entry(alg, n, g, i)
                 if k.num != (1,) or k.den != (1,):
                     raise ValueError(f"K_{i} on {g}: {k.to_text()} is not a power of v")
                 self.E[(i, code)] = e
                 self.F[(i, code)] = f
                 self.K[(i, code)] = k
                 self.k_exp[i].append(k.shift)
-
-    def _entry(self, g, i):
-        raise NotImplementedError
 
     def k_exponent(self, i: int, word: tuple) -> int:
         """m with K_i(word) = v^m word."""
@@ -108,73 +111,59 @@ class ActionTables:
         return vpow(-m if inv else m)
 
 
-class MatrixActionTables(ActionTables):
+def _sl2_entry(alg: Algebra, x: int, m: int, moved):
+    """E_m, F_m and the K_m eigenvalue on a letter whose moving index is x;
+    ``moved(y)`` is the letter with that index set to y.  E lowers x = m + 1,
+    F raises x = m, and K is q, q^-1 or 1 on x = m, x = m + 1 or the rest."""
+    e = moved(x - 1).scale(vpow(-1)) if x == m + 1 else alg.zero()
+    f = moved(x + 1).scale(vpow(1)) if x == m else alg.zero()
+    k = qpow(1) if x == m else (qpow(-1) if x == m + 1 else ONE)
+    return e, f, k
+
+
+def matrix_entry(alg: Algebra, n: int, g, i: int):
     """Column action on t_{ij}; the row index is inert."""
-
-    def _entry(self, g, i):
-        alg, j = self.alg, g.j
-        e = alg.gen(g.cls, g.i, j - 1).scale(vpow(-1)) if j == i + 1 else alg.zero()
-        f = alg.gen(g.cls, g.i, j + 1).scale(vpow(1)) if j == i else alg.zero()
-        k = qpow(1) if j == i else (qpow(-1) if j == i + 1 else ONE)
-        return e, f, k
+    return _sl2_entry(alg, g.j, i, lambda y: alg.gen(g.cls, g.i, y))
 
 
-class PolActionTables(ActionTables):
-    """The z_a^alpha action of Prop-type, plus the star-derived action."""
+def _z_entry(alg: Algebra, n: int, a: int, al: int, i: int):
+    """The z_a^alpha action of Prop-type: the row index moves for i < n,
+    the column index at 2n - i for i > n."""
+    if i < n:
+        return _sl2_entry(alg, a, i, lambda y: alg.gen("z", y, al))
+    if i > n:
+        return _sl2_entry(alg, al, 2 * n - i, lambda y: alg.gen("z", a, y))
+    # the one-index-n eigenvalue is forced to q (not q^-1) by weight
+    # additivity under the z-relations; cf. the minor picture where
+    # z_a^alpha = t^-1 (row minor), K_n t = q^-1 t
+    znn = alg.gen("z", n, n)
+    if a == n and al == n:
+        return (znn * znn).scale(-vpow(1)), alg.scalar(vpow(1)), qpow(2)
+    if a != n and al != n:
+        e = (alg.gen("z", a, n) * alg.gen("z", n, al)).scale(-vpow(-1))
+        return e, alg.zero(), ONE
+    return (znn * alg.gen("z", a, al)).scale(-vpow(1)), alg.zero(), qpow(1)
 
-    def _entry(self, g, i):
-        if g.cls == "z":
-            return self._z_entry(g.i, g.j, i)
-        ez, fz, kz = self._z_entry(g.i, g.j, i)
-        sign = ONE if i == self.n else -ONE
-        e = star_poly(fz).scale(sign * qpow(-2))
-        f = star_poly(ez).scale(sign * qpow(2))
-        return e, f, kz.inverse()
 
-    def _z_entry(self, a, al, i):
-        alg, n = self.alg, self.n
-        if i == n:
-            # the one-index-n eigenvalue is forced to q (not q^-1) by weight
-            # additivity under the z-relations; cf. the minor picture where
-            # z_a^alpha = t^-1 (row minor), K_n t = q^-1 t
-            if a == n and al == n:
-                k = qpow(2)
-            elif a == n or al == n:
-                k = qpow(1)
-            else:
-                k = ONE
-            if a == n and al == n:
-                e = (alg.gen("z", n, n) * alg.gen("z", n, n)).scale(-vpow(1))
-                f = alg.scalar(vpow(1))
-            elif a != n and al != n:
-                e = (alg.gen("z", a, n) * alg.gen("z", n, al)).scale(-vpow(-1))
-                f = alg.zero()
-            else:
-                e = (alg.gen("z", n, n) * alg.gen("z", a, al)).scale(-vpow(1))
-                f = alg.zero()
-            return e, f, k
-        if i < n:
-            k = qpow(1) if a == i else (qpow(-1) if a == i + 1 else ONE)
-            e = alg.gen("z", a - 1, al).scale(vpow(-1)) if a == i + 1 else alg.zero()
-            f = alg.gen("z", a + 1, al).scale(vpow(1)) if a == i else alg.zero()
-            return e, f, k
-        # i > n
-        k = qpow(1) if al == 2 * n - i else (qpow(-1) if al == 2 * n - i + 1 else ONE)
-        e = (alg.gen("z", a, al - 1).scale(vpow(-1))
-             if al == 2 * n - i + 1 else alg.zero())
-        f = (alg.gen("z", a, al + 1).scale(vpow(1))
-             if al == 2 * n - i else alg.zero())
-        return e, f, k
+def pol_entry(alg: Algebra, n: int, g, i: int):
+    """The z_a^alpha action, plus the star-derived action on z*."""
+    ez, fz, kz = _z_entry(alg, n, g.i, g.j, i)
+    if g.cls == "z":
+        return ez, fz, kz
+    sign = ONE if i == n else -ONE
+    e = star_poly(fz).scale(sign * qpow(-2))
+    f = star_poly(ez).scale(sign * qpow(2))
+    return e, f, kz.inverse()
 
 
 @lru_cache(maxsize=None)
 def pol_tables(n: int) -> ActionTables:
-    return PolActionTables(pol_algebra(n), n)
+    return ActionTables(pol_algebra(n), n, pol_entry)
 
 
 @lru_cache(maxsize=None)
 def rect_tables(n: int) -> ActionTables:
-    return MatrixActionTables(matrix_algebra(n, 2 * n), n)
+    return ActionTables(matrix_algebra(n, 2 * n), n, matrix_entry)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from qball import kernels, polmat
+from qball import boundary, kernels, polmat
 
 # the per-process kernel caches, built from the rewrite and action tables
 KERNEL_CACHES = (kernels.build_L, kernels.build_Lbar, kernels.inverse_kernels,
@@ -21,6 +21,25 @@ def no_new_kernels():
         yield
         assert [f.cache_info().currsize for f in KERNEL_CACHES] == before
     return guard
+
+
+@pytest.fixture
+def fresh_kernels():
+    """Clears the kernel caches before the test, for a test that counts the
+    builds a run makes: an L, Lbar or Poisson kernel cached by an earlier
+    test in the same process would hide them."""
+    for f in KERNEL_CACHES:
+        f.cache_clear()
+
+
+@pytest.fixture
+def fresh_reducer():
+    """Clears the cached Shilov reduction before and after the test.  A
+    test that patches ``boundary.unitarity_relations`` takes it, so that the
+    reduction is built from its patch and does not outlive it."""
+    boundary._reducer.cache_clear()
+    yield
+    boundary._reducer.cache_clear()
 
 
 @pytest.fixture

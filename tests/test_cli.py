@@ -140,7 +140,8 @@ def test_cli_limits(capsys):
     assert "limits" in capsys.readouterr().out
 
 
-def test_cli_verify_all_runs_every_suite_and_builds_p_once(monkeypatch, tmp_path):
+def test_cli_verify_all_runs_every_suite_and_builds_p_once(monkeypatch, tmp_path,
+                                                           fresh_kernels):
     builds = []
     substitute = kernels.substitute_x_inverse
 

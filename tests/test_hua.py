@@ -197,7 +197,7 @@ def _hua_theorem_n1_unshared(fs, xi_words, cutoff, seen):
     P = poisson_kernel(1, cutoff)
     out = []
     for fi, f in enumerate(fs):
-        u = poisson_integral_n1(P, f)
+        [u] = poisson_integral_n1(P, [f])
         for xi in xi_words:
             v = u
             for g in reversed(xi):

@@ -120,7 +120,6 @@ CLI_RUNS = [
 NOT_ENTERED = {
     "kernels._power_text": "used by Kernel.__repr__ only",
     "kernels._term_sort_key": "used by Kernel.__repr__ only",
-    "uqact.ActionTables._entry": "abstract; every table class overrides it",
 }
 
 _PROBE = """

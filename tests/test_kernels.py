@@ -691,15 +691,15 @@ def test_poisson_integral_basics():
     D = 4
     P = poisson_kernel(1, D)
     sp = P.space
-    u = poisson_integral_n1(P, N1Boundary.one())
+    u, uz = poisson_integral_n1(P, [N1Boundary.one(), N1Boundary.zeta(1)])
     assert u == sp.unit() and u.truncated == P.truncated
-    uz = poisson_integral_n1(P, N1Boundary.zeta(1))
     # the normalised operator sends zeta to z on the nose
     assert uz == sp.from_pair(sp.leg1.alg.gen("z", 1, 1), sp.leg2.alg.one())
+    assert poisson_integral_n1(P, []) == []
     with pytest.raises(PowerSignatureError):
-        poisson_integral_n1(sp.power_term(0, 0, 1, 1), N1Boundary.one())
+        poisson_integral_n1(sp.power_term(0, 0, 1, 1), [N1Boundary.one()])
     with pytest.raises(ValueError):
-        poisson_integral_n1(poisson_kernel(2, 2), N1Boundary.one())
+        poisson_integral_n1(poisson_kernel(2, 2), [N1Boundary.one()])
 
 
 def _integral_term_by_term(P, f):
@@ -716,18 +716,21 @@ def _integral_term_by_term(P, f):
 @pytest.mark.parametrize("D", [6, 24])
 def test_poisson_integral_matches_the_term_by_term_reference(D):
     # the second-leg exponents of P are -D..D, so zeta^(2D + 1) meets no
-    # term of P; each f is integrated with and without a passed group table
+    # term of P; the functions are integrated in one call, and each alone
     P = poisson_kernel(1, D)
-    groups = kernels.exponent_groups(P)
-    assert sorted(groups) == list(range(-D, D + 1))
-    for f in (N1Boundary.one(), N1Boundary.zeta(1), N1Boundary.zeta(2),
-              N1Boundary.zeta(-1), N1Boundary({2: qpow(1), 0: vpow(1), -1: 1}),
-              N1Boundary({2 * D + 1: qpow(1), -2: vpow(-1)})):
+    alg2 = P.space.leg2.alg
+    assert ({j - k for j, k in (bidegree(alg2, key[5]) for key in P.terms)}
+            == set(range(-D, D + 1)))
+    fs = [N1Boundary.one(), N1Boundary.zeta(1), N1Boundary.zeta(2),
+          N1Boundary.zeta(-1), N1Boundary({2: qpow(1), 0: vpow(1), -1: 1}),
+          N1Boundary({2 * D + 1: qpow(1), -2: vpow(-1)})]
+    for f, got in zip(fs, poisson_integral_n1(P, fs), strict=True):
         expect = _integral_term_by_term(P, f)
-        for got in (poisson_integral_n1(P, f), poisson_integral_n1(P, f, groups)):
-            assert got.terms and got.terms == expect.terms, f
-            assert got.truncated == expect.truncated == P.truncated
-    absent = poisson_integral_n1(P, N1Boundary.zeta(2 * D + 1), groups)
+        [alone] = poisson_integral_n1(P, [f])
+        for k in (got, alone):
+            assert k.terms and k.terms == expect.terms, f
+            assert k.truncated == expect.truncated == P.truncated
+    [absent] = poisson_integral_n1(P, [N1Boundary.zeta(2 * D + 1)])
     assert absent.is_zero() and absent.truncated == P.truncated
 
 
@@ -826,7 +829,7 @@ def test_kernel_act_on_one_leg_is_the_pol_action_cut_to_the_box(case):
     sp = poisson_space(1, D)
     alg, one2 = sp.leg1.alg, sp.leg2.alg.one()
     if case == "integral":
-        u = poisson_integral_n1(poisson_kernel(1, D), N1Boundary.zeta(-1))
+        [u] = poisson_integral_n1(poisson_kernel(1, D), [N1Boundary.zeta(-1)])
         p = NCPoly(alg, {key[4]: c for key, c in u.terms.items()})
     else:
         z, zs = alg.gen("z", 1, 1), alg.gen("zs", 1, 1)

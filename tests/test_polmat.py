@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qball import polmat, suites
+from qball import boundary, polmat, suites
 from qball.algebras import bidegree, pol_algebra, star_poly
 from qball.classical import classical_det_one_minus_zzstar, classical_poly
 from qball.kernels import poisson_space
@@ -186,6 +186,31 @@ def test_gl_star_is_involutive_on_generators(n):
 def test_shilov_relations_in_gl_model(n):
     for label, r in shilov_residuals_gl(n):
         assert r.is_zero(), f"residual at {label}"
+
+
+@pytest.mark.parametrize("label", [("col", 1, 2), ("row", 2, 2)],
+                         ids=lambda label: "-".join(map(str, label)))
+def test_a_corrupted_unitarity_relation_is_reported_by_its_label(
+        monkeypatch, fresh_reducer, label):
+    # the Shilov reduction and its check in C[GL_n]_q read one list of
+    # relations: one coefficient scaled by q fails that relation's check
+    # alone, and changes the reduction's rules
+    n = 2
+    rules = boundary._reducer(n)[3]
+    boundary._reducer.cache_clear()
+    real = boundary.unitarity_relations
+
+    def corrupted(m):
+        for lab, terms, const in real(m):
+            if lab == label:
+                (c, idx), *rest = terms
+                terms = [(c * qpow(1), idx)] + rest
+            yield lab, terms, const
+
+    monkeypatch.setattr(boundary, "unitarity_relations", corrupted)
+    monkeypatch.setattr(polmat, "unitarity_relations", corrupted)
+    assert [lab for lab, r in shilov_residuals_gl(n) if not r.is_zero()] == [label]
+    assert boundary._reducer(n)[3] != rules
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -8,8 +8,8 @@ from qball.algebras import (boundary_algebra, matrix_algebra, pol_algebra,
 from qball.kernels import poisson_space
 from qball.ncpoly import Generator, NCPoly, normalize, overlap_residuals
 from qball.scalars import ONE, VScalar, qpow, vpow
-from qball.uqact import (MatrixActionTables, UqGen, act, act_word, antipode,
-                         chevalley_gens, module_algebra_residuals,
+from qball.uqact import (ActionTables, UqGen, act, act_word, antipode,
+                         chevalley_gens, matrix_entry, module_algebra_residuals,
                          operator_relation_residuals, pol_tables, rect_tables,
                          star_compat_residuals, star_of_antipode, ustar)
 from qball.suites import run_suite
@@ -112,13 +112,13 @@ def test_action_annihilates_constants():
 
 
 def square_tables(n):
-    return MatrixActionTables(matrix_algebra(2 * n, 2 * n), n)
+    return ActionTables(matrix_algebra(2 * n, 2 * n), n, matrix_entry)
 
 
 def test_matrix_tables_do_not_depend_on_the_letter_names():
     # the column action reads codes and indices only: on z-named letters
     # the 2 x 4 tables are rect_tables(2) code for code
-    t, rect = MatrixActionTables(matrix_algebra(2, 4, "z"), 2), rect_tables(2)
+    t, rect = ActionTables(matrix_algebra(2, 4, "z"), 2, matrix_entry), rect_tables(2)
     assert t.K == rect.K and t.k_exp == rect.k_exp
     assert set(t.E) == set(rect.E) == set(t.F) == set(rect.F)
     for key in rect.E:
@@ -159,13 +159,12 @@ def test_k_word_matches_the_letter_by_letter_product(mk, n):
 
 
 def test_a_k_eigenvalue_that_is_not_a_power_of_v_is_refused():
-    class TwoV(MatrixActionTables):
-        def _entry(self, g, i):
-            e, f, k = super()._entry(g, i)
-            return e, f, (VScalar.from_int(2) * vpow(1) if g.j == i else k)
+    def two_v(alg, n, g, i):
+        e, f, k = matrix_entry(alg, n, g, i)
+        return e, f, (VScalar.from_int(2) * vpow(1) if g.j == i else k)
 
     with pytest.raises(ValueError, match="not a power of v"):
-        TwoV(matrix_algebra(1, 2), 1)
+        ActionTables(matrix_algebra(1, 2), 1, two_v)
 
 
 @pytest.mark.parametrize("mk", [pol_tables, boundary_tables, rect_tables,
