@@ -25,7 +25,7 @@ from .boundary import shilov_reduce
 from .kernels import Kernel, poisson_integral_n1, poisson_kernel, poisson_space
 from .ncpoly import NCPoly, add_terms
 from .scalars import ONE, VScalar, qpow
-from .uqact import chevalley_gens
+from .uqact import chevalley_gens, suffix_value
 
 
 def hua_sums(u: Kernel, weighted: bool = True) -> list:
@@ -91,7 +91,7 @@ def verify_hua_theorem_n1(fs: list, xi_words: list, cutoff: int) -> list:
     extraction needs components up to (1 + |xi|, 1 + |xi|), so a word
     with 1 + |xi| > cutoff reads a truncated component.  The value of every
     suffix of xi on P f is formed once per f and kept in ``acted``, so
-    words that share a suffix share its value (as ``uqact._suffix_value``).
+    words that share a suffix share its value (``uqact.suffix_value``).
     All the integrals come from one call, which groups P's terms by
     second-leg exponent once (:func:`~qball.kernels.poisson_integral_n1`).
     """
@@ -99,10 +99,7 @@ def verify_hua_theorem_n1(fs: list, xi_words: list, cutoff: int) -> list:
     for fi, u in enumerate(poisson_integral_n1(poisson_kernel(1, cutoff), fs)):
         acted = {(): u}
         for xi in xi_words:
-            for j in range(len(xi) - 1, -1, -1):
-                if xi[j:] not in acted:
-                    acted[xi[j:]] = acted[xi[j + 1:]].act(xi[j])
-            v = acted[xi]
+            v = suffix_value(lambda g, k: k.act(g), acted, xi)
             key = (fi, tuple(map(repr, xi)))
             out += [(key + (system,), s) for (system, _), s in hua_sums(v)]
     return out

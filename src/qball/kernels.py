@@ -98,11 +98,11 @@ class LegContext:
         self.zsnn = alg.gen_code(zcls + "s", n, n)
 
 
-def _leg_k_eig(ctx: LegContext, i: int, a: int, b: int, word: tuple) -> VScalar:
-    """K_i on t^a t*^b word; K_n t = q^-1 t, K_n t* = q t*, others fix both.
-    The eigenvalue is one power of v, formed from the summed exponents."""
+def _leg_k_exp(ctx: LegContext, i: int, a: int, b: int, word: tuple) -> int:
+    """m with K_i(t^a t*^b word) = v^m t^a t*^b word; K_n t = q^-1 t,
+    K_n t* = q t*, and the other K_i fix both."""
     m = ctx.tables.k_exponent(i, word)
-    return vpow(m + 2 * (b - a) if i == ctx.tables.n else m)
+    return m + 2 * (b - a) if i == ctx.tables.n else m
 
 
 @lru_cache(maxsize=None)
@@ -169,7 +169,7 @@ def act_leg(ctx: LegContext, g: UqGen, a: int, b: int, word: tuple) -> dict:
         out = {(a, b, w): c for w, c in tail.items()}
         if b == 0:
             return out
-        c = _f_power(b) * ctx.tables.k_word(n, word, inv=True)
+        c = _f_power(b) * vpow(-ctx.tables.k_exponent(n, word))
         letter = ctx.zsnn
     # h z_n^n w or h (z_n^n)* w: w carries no power block, so no q-factor
     return add_terms(out, (((a, b, w), cw) for w, cw
@@ -374,13 +374,13 @@ class Kernel:
         """
         sp = self.space
         if g.kind in ("K", "Kinv"):
-            inv = g.kind == "Kinv"
+            sign = 1 if g.kind == "K" else -1
             out: dict = {}
             for key, c in self.terms.items():
                 a, b, cc, d, w1, w2 = key
-                s = (_leg_k_eig(sp.leg1, g.i, a, b, w1)
-                     * _leg_k_eig(sp.leg2, g.i, cc, d, w2))
-                out[key] = c * (s.inverse() if inv else s)
+                m = (_leg_k_exp(sp.leg1, g.i, a, b, w1)
+                     + _leg_k_exp(sp.leg2, g.i, cc, d, w2))
+                out[key] = c * vpow(sign * m)
             return Kernel(sp, out, self.truncated)
         keys = self.terms.keys()
         legs1 = {leg: act_leg(sp.leg1, g, *leg)
@@ -390,9 +390,9 @@ class Kernel:
         acc: dict = {}
         for (a, b, cc, d, w1, w2), c in self.terms.items():
             if g.kind == "E":
-                s1, s2 = c, c * _leg_k_eig(sp.leg1, g.i, a, b, w1)
+                s1, s2 = c, c * vpow(_leg_k_exp(sp.leg1, g.i, a, b, w1))
             else:
-                s1, s2 = c * _leg_k_eig(sp.leg2, g.i, cc, d, w2).inverse(), c
+                s1, s2 = c * vpow(-_leg_k_exp(sp.leg2, g.i, cc, d, w2)), c
             add_terms(acc, (((a2, b2, cc, d, wn, w2), s1 * cv) for (a2, b2, wn), cv
                             in legs1[(a, b, w1)].items()))
             add_terms(acc, (((a, b, c2, d2, w1, un), s2 * cv) for (c2, d2, un), cv

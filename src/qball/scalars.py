@@ -255,9 +255,6 @@ class VScalar:
     def __sub__(self, other) -> "VScalar":
         return self + (-VScalar.coerce(other))
 
-    def __rsub__(self, other) -> "VScalar":
-        return VScalar.coerce(other) + (-self)
-
     def __mul__(self, other) -> "VScalar":
         if not isinstance(other, VScalar):
             other = VScalar.coerce(other)
@@ -294,9 +291,6 @@ class VScalar:
 
     def __truediv__(self, other) -> "VScalar":
         return self * VScalar.coerce(other).inverse()
-
-    def __rtruediv__(self, other) -> "VScalar":
-        return VScalar.coerce(other) * self.inverse()
 
     def __pow__(self, k: int) -> "VScalar":
         if k < 0:

@@ -10,9 +10,9 @@ module-algebra rules
 
 which encode the comultiplication Delta(E) = E x 1 + K x E and
 Delta(F) = F x K^{-1} + 1 x F.  Every generator is a weight vector whose
-K_i eigenvalue is a power v^m with coefficient 1, so each table also keeps
-the integer exponents m, derived from its K values once, and the K-factor
-of a word is one ``vpow`` of their sum.  On a word the rules unroll into
+K_i eigenvalue is a power v^m with coefficient 1, so each table keeps only
+the integer exponents m, and the K-factor of a word is one ``vpow`` of
+their sum, negated for K^-1.  On a word the rules unroll into
 one sum over its letters, generated in one place (``_leibniz_terms``).
 ``act`` feeds the terms of every word of a polynomial into one
 ``normalize`` call; ``act_word`` is ``act`` on a one-word polynomial, which
@@ -38,13 +38,14 @@ tests.  The relations of U_q sl_2n are skew-primitive (J. C. Jantzen,
 compatibility are checked on generators of the algebra only, and the
 module-algebra rules on the generator pairs a > b, the left sides of the
 rewrite rules, only.  The relation and star checks apply U_q words right
-to left through values shared word by word (``_suffix_value``), so each
-acted value is formed once per input word.
+to left through values shared word by word (:func:`suffix_value`, which
+``hua`` applies to kernels too), so each acted value is formed once per
+input word.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .algebras import matrix_algebra, pol_algebra, star_poly
@@ -81,16 +82,15 @@ def cartan_entry(i: int, j: int) -> int:
 
 
 class ActionTables:
-    """E/F/K values on the generators of one algebra, for U_q sl_2n, from
-    ``entry(alg, n, g, i)``, which gives E_i g, F_i g and the K_i
-    eigenvalue of the generator g."""
+    """E/F values and K exponents on the generators of one algebra, for
+    U_q sl_2n, from ``entry(alg, n, g, i)``, which gives E_i g, F_i g and
+    the K_i eigenvalue of the generator g; that eigenvalue must be v^m."""
 
     def __init__(self, alg: Algebra, n: int, entry):
         self.alg = alg
         self.n = n
         self.E: dict = {}
         self.F: dict = {}
-        self.K: dict = {}  # eigenvalue of K_i^{+1}
         self.k_exp: dict = {i: [] for i in range(1, 2 * n)}  # K_i = v^k_exp[i][code]
         for code, g in enumerate(alg.gens):
             for i in range(1, 2 * n):
@@ -99,16 +99,11 @@ class ActionTables:
                     raise ValueError(f"K_{i} on {g}: {k.to_text()} is not a power of v")
                 self.E[(i, code)] = e
                 self.F[(i, code)] = f
-                self.K[(i, code)] = k
                 self.k_exp[i].append(k.shift)
 
     def k_exponent(self, i: int, word: tuple) -> int:
         """m with K_i(word) = v^m word."""
         return sum(map(self.k_exp[i].__getitem__, word))
-
-    def k_word(self, i: int, word: tuple, inv: bool = False) -> VScalar:
-        m = self.k_exponent(i, word)
-        return vpow(-m if inv else m)
 
 
 def _sl2_entry(alg: Algebra, x: int, m: int, moved):
@@ -205,8 +200,8 @@ def act(t: ActionTables, g: UqGen, p: NCPoly) -> NCPoly:
     coefficient folded in, go into one ``normalize`` call, or zero comes
     back without a call when ``g`` kills every letter."""
     if g.kind in ("K", "Kinv"):
-        inv = g.kind == "Kinv"
-        return NCPoly(t.alg, {w: c * t.k_word(g.i, w, inv)
+        sign = 1 if g.kind == "K" else -1
+        return NCPoly(t.alg, {w: c * vpow(sign * t.k_exponent(g.i, w))
                               for w, c in p.terms.items()})
     terms: list = []
     for w, c in p.terms.items():
@@ -220,20 +215,23 @@ def act_word(t: ActionTables, g: UqGen, word: tuple) -> NCPoly:
     return act(t, g, NCPoly(t.alg, {word: ONE}))
 
 
-def _suffix_value(t: ActionTables, acted: dict, gens: tuple) -> NCPoly:
-    """The U_q word g_1 ... g_k, applied right to left, on the polynomial
-    ``acted[()]``.  The value of every suffix g_j ... g_k is formed once and
-    kept in ``acted``, so words that share a suffix share its value."""
+def suffix_value(apply, acted: dict, gens: tuple):
+    """The U_q word g_1 ... g_k, applied right to left, on the value
+    ``acted[()]``, with ``apply(g, x)`` the action of one generator g on x,
+    a polynomial or a kernel.  The value of every suffix g_j ... g_k is
+    formed once and kept in ``acted``, so words that share a suffix share
+    its value."""
     hit = acted.get(gens)
     if hit is None:
-        hit = acted[gens] = act(t, gens[0], _suffix_value(t, acted, gens[1:]))
+        hit = acted[gens] = apply(gens[0], suffix_value(apply, acted, gens[1:]))
     return hit
 
 
 def _expr_value(t: ActionTables, acted: dict, expr: list) -> NCPoly:
     """A formal combination sum c * (g_1 ... g_k) of U_q words on
     ``acted[()]``, through the shared suffix values of ``acted``."""
-    return t.alg.sum(_suffix_value(t, acted, gens).scale(c) for c, gens in expr)
+    return t.alg.sum(suffix_value(partial(act, t), acted, gens).scale(c)
+                     for c, gens in expr)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +271,6 @@ def star_expr(expr: list, n: int) -> list:
     return out
 
 
-def star_of_antipode(g: UqGen, n: int) -> list:
-    return star_expr(antipode(g), n)
-
-
 # ---------------------------------------------------------------------------
 # soundness checks: tables respect relations; operator relations hold
 # ---------------------------------------------------------------------------
@@ -307,7 +301,7 @@ def module_algebra_residuals(t: ActionTables):
                 for kind in ("E", "F", "K"):
                     g = UqGen(kind, i)
                     if kind == "K":
-                        r = act(t, g, prod) - prod.scale(t.K[(i, ga)] * t.K[(i, gb)])
+                        r = act(t, g, prod) - prod.scale(vpow(t.k_exponent(i, (ga, gb))))
                     else:
                         terms = _leibniz_terms(t, g, (ga, gb), -ONE, [])
                         for w, c in prod.terms.items():
@@ -369,7 +363,7 @@ def operator_relation_residuals(t: ActionTables, words):
 
     Each U_q word g_1 ... g_k is applied right to left.  Word by word, the
     value of every suffix g_j ... g_k on the input word is formed once and
-    shared by all the relations that contain it (``_suffix_value``); the
+    shared by all the relations that contain it (:func:`suffix_value`); the
     residual kept for a relation is the one on the first input word where
     it fails.
     """
@@ -402,7 +396,7 @@ def star_compat_residuals(t: ActionTables, words):
     all end in K_i^-1, whose value on f* is formed once.
     Returns [((g, w), residual)] for the pairs where it fails.
     """
-    exprs = [(g, star_of_antipode(g, t.n)) for g in chevalley_gens(t.n)]
+    exprs = [(g, star_expr(antipode(g), t.n)) for g in chevalley_gens(t.n)]
     out = []
     for w in words:
         p = NCPoly(t.alg, {w: ONE})

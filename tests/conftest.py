@@ -1,8 +1,13 @@
+import importlib.util
 from contextlib import contextmanager
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 from qball import boundary, kernels, polmat
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 # the per-process kernel caches, built from the rewrite and action tables
 KERNEL_CACHES = (kernels.build_L, kernels.build_Lbar, kernels.inverse_kernels,
@@ -51,3 +56,28 @@ def fresh_det_star_scale():
     polmat._det_star_scale.cache_clear()
     yield
     polmat._det_star_scale.cache_clear()
+
+
+@lru_cache(maxsize=None)
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("qball_bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def bench():
+    """The benchmark's ``perfbench/workloads.py``, loaded read-only, for its
+    recorded outputs (``load_golden``) and its recipes (``kernel_hash``,
+    ``report_entries``), so that the tests check goldens the way the
+    benchmark does and a recipe lives in one place."""
+    return _bench_workloads()
+
+
+def pytest_generate_tests(metafunc):
+    # a test that takes ``golden_verify`` runs once per verify workload of
+    # ``perfbench/golden.json``
+    if "golden_verify" in metafunc.fixturenames:
+        metafunc.parametrize("golden_verify",
+                             sorted(_bench_workloads().load_golden()["verify"]))

@@ -1,11 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
 from qball.algebras import boundary_algebra
 from qball.boundary import (N1Boundary, UnsupportedSpanError, nu_n1,
                             shilov_reduce)
-from qball.scalars import ONE, VScalar, ZERO, qpow
+from qball.scalars import ONE, ZERO, qpow
 
 
 def test_defining_relation_reduces_to_delta():
@@ -47,21 +48,21 @@ def test_irreducible_representative_survives():
 
 
 def test_reduce_is_idempotent_and_linear():
+    # every word of the span {1} + {zeta zeta*} at n = 2, and every ordered
+    # pair of them with the coefficients q^i and q^-j
     alg = boundary_algebra(2)
-    rng = random.Random(5)
-    zc = [alg.gen_code("zeta", a, b) for a in (1, 2) for b in (1, 2)]
-    sc = [alg.gen_code("zetas", a, b) for a in (1, 2) for b in (1, 2)]
-    for _ in range(40):
-        terms = {}
-        for _ in range(rng.randint(1, 5)):
-            w = (rng.choice(zc), rng.choice(sc))
-            terms[w] = qpow(rng.randint(-2, 2))
-        terms[()] = VScalar.from_int(rng.randint(-2, 2))
-        p = alg.poly(terms)
-        r = shilov_reduce(p)
-        assert shilov_reduce(r) == r
-        p2 = alg.poly({w: c * qpow(1) for w, c in terms.items()})
-        assert shilov_reduce(p + p2) == shilov_reduce(p) + shilov_reduce(p2)
+    words = [()] + [(alg.gen_code("zeta", a, al), alg.gen_code("zetas", b, be))
+                    for a, al, b, be in product((1, 2), repeat=4)]
+    assert len(words) == 17
+    reduced = []
+    for w in words:
+        r = shilov_reduce(alg.poly({w: ONE}))
+        assert shilov_reduce(r) == r, w
+        reduced.append(r)
+    for (i, w), (j, u) in product(enumerate(words), repeat=2):
+        p = alg.poly({w: qpow(i)}) + alg.poly({u: qpow(-j)})
+        expect = reduced[i].scale(qpow(i)) + reduced[j].scale(qpow(-j))
+        assert shilov_reduce(p) == expect, (w, u)
 
 
 def test_unsupported_span_is_an_error():

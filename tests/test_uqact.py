@@ -5,13 +5,13 @@ import pytest
 from qball import reports, uqact
 from qball.algebras import (boundary_algebra, matrix_algebra, pol_algebra,
                             star_class, star_poly)
-from qball.kernels import poisson_space
+from qball.kernels import build_L, check_invariant, poisson_space
 from qball.ncpoly import Generator, NCPoly, normalize, overlap_residuals
 from qball.scalars import ONE, VScalar, qpow, vpow
 from qball.uqact import (ActionTables, UqGen, act, act_word, antipode,
                          chevalley_gens, matrix_entry, module_algebra_residuals,
-                         operator_relation_residuals, pol_tables, rect_tables,
-                         star_compat_residuals, star_of_antipode, ustar)
+                         operator_relation_residuals, pol_entry, pol_tables,
+                         rect_tables, star_compat_residuals, star_expr, ustar)
 from qball.suites import run_suite
 
 
@@ -32,6 +32,11 @@ def _domain_words(t, maxdeg=2):
 def boundary_tables(n):
     """The tables of the second kernel leg, on the boundary's zeta letters."""
     return poisson_space(n, 1).leg2.tables
+
+
+def _k(t, i, code):
+    """The K_i eigenvalue of one generator, from the exponent table."""
+    return vpow(t.k_exp[i][code])
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -59,8 +64,8 @@ def _act_word_recursive(t, g, word):
     tail = _act_word_recursive(t, g, rest)
     if g.kind == "E":
         return (t.E[(g.i, head)] * rest_poly
-                + (head_poly * tail).scale(t.K[(g.i, head)]))
-    return (t.F[(g.i, head)].scale(t.k_word(g.i, rest, inv=True)) * rest_poly
+                + (head_poly * tail).scale(_k(t, g.i, head)))
+    return (t.F[(g.i, head)].scale(vpow(-t.k_exponent(g.i, rest))) * rest_poly
             + head_poly * tail)
 
 
@@ -119,7 +124,7 @@ def test_matrix_tables_do_not_depend_on_the_letter_names():
     # the column action reads codes and indices only: on z-named letters
     # the 2 x 4 tables are rect_tables(2) code for code
     t, rect = ActionTables(matrix_algebra(2, 4, "z"), 2, matrix_entry), rect_tables(2)
-    assert t.K == rect.K and t.k_exp == rect.k_exp
+    assert t.k_exp == rect.k_exp
     assert set(t.E) == set(rect.E) == set(t.F) == set(rect.F)
     for key in rect.E:
         assert t.E[key].terms == rect.E[key].terms, key
@@ -130,10 +135,14 @@ def test_matrix_tables_do_not_depend_on_the_letter_names():
                                 square_tables])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_exponent_table_gives_every_k_eigenvalue(mk, n):
+    # against the K values of the entry function the tables were read from
     t = mk(n)
+    entry = matrix_entry if mk in (rect_tables, square_tables) else pol_entry
     assert set(t.k_exp) == set(range(1, 2 * n))
-    for (i, code), k in t.K.items():
-        assert vpow(t.k_exp[i][code]) == k, (i, code)
+    for i in range(1, 2 * n):
+        assert len(t.k_exp[i]) == t.alg.ngens()
+        for code, g in enumerate(t.alg.gens):
+            assert vpow(t.k_exp[i][code]) == entry(t.alg, n, g, i)[2], (i, code)
 
 
 def _k_word_by_letters(t, i, word, inv):
@@ -141,7 +150,7 @@ def _k_word_by_letters(t, i, word, inv):
     letters' eigenvalues, inverted for K_i^-1."""
     c = ONE
     for g in word:
-        c = c * t.K[(i, g)]
+        c = c * _k(t, i, g)
     return c.inverse() if inv else c
 
 
@@ -154,7 +163,8 @@ def test_k_word_matches_the_letter_by_letter_product(mk, n):
         for word in product(range(t.alg.ngens()), repeat=length):
             for i in range(1, 2 * n):
                 for inv in (False, True):
-                    assert (t.k_word(i, word, inv)
+                    m = t.k_exponent(i, word)
+                    assert (vpow(-m if inv else m)
                             == _k_word_by_letters(t, i, word, inv)), (i, word, inv)
 
 
@@ -211,7 +221,7 @@ def _star_compat_by_expression(t, words):
         ps = star_poly(p)
         for g in chevalley_gens(t.n):
             lhs = star_poly(act(t, g, p))
-            rhs = act_expr(t, star_of_antipode(g, t.n), ps)
+            rhs = act_expr(t, star_expr(antipode(g), t.n), ps)
             if lhs != rhs:
                 out.append(((g, w), lhs - rhs))
     return out
@@ -252,7 +262,7 @@ def test_unchecked_pairs_give_one_term_list_on_both_sides(mk, n):
             prod = alg.monomial((ga, gb))
             assert prod.terms == {(ga, gb): ONE}
             for i in range(1, 2 * n):
-                ka, kb = t.K[(i, ga)], t.K[(i, gb)]
+                ka, kb = _k(t, i, ga), _k(t, i, gb)
                 for kind in ("E", "F", "K"):
                     g = UqGen(kind, i)
                     if kind == "K":
@@ -306,12 +316,12 @@ def _module_algebra_by_pair_products(t):
                     lhs = act(t, g, prod)
                     if kind == "E":
                         rhs = (act(t, g, pa) * pb
-                               + (pa * act(t, g, pb)).scale(t.K[(i, ga)]))
+                               + (pa * act(t, g, pb)).scale(_k(t, i, ga)))
                     elif kind == "F":
-                        rhs = (act(t, g, pa).scale(t.K[(i, gb)].inverse()) * pb
+                        rhs = (act(t, g, pa).scale(_k(t, i, gb).inverse()) * pb
                                + pa * act(t, g, pb))
                     else:
-                        rhs = prod.scale(t.K[(i, ga)] * t.K[(i, gb)])
+                        rhs = prod.scale(_k(t, i, ga) * _k(t, i, gb))
                     if lhs != rhs:
                         out.append(((kind, i, ga, gb), lhs - rhs))
     return out
@@ -391,6 +401,24 @@ def test_rewritten_checks_match_their_references_on_a_corrupted_table(
                     == _star_compat_by_expression(t, words))
 
 
+def test_a_corrupted_k_exponent_is_caught_by_both_checks(monkeypatch, no_new_kernels):
+    # the K_1 exponent of z[1,2] raised by 2: the module-algebra check
+    # reports K_1 labels, on the pairs a b whose normal form holds a word
+    # with a different count of z[1,2], and the invariance check of L fails
+    # on K_1 and K_1^-1 (and on E_1, whose Leibniz terms carry K_1)
+    t = pol_tables(2)
+    L = build_L(2, 2)
+    code = t.alg.gen_code("z", 1, 2)
+    raised = list(t.k_exp[1])
+    raised[code] += 2
+    with no_new_kernels():
+        monkeypatch.setitem(t.k_exp, 1, raised)
+        k_labels = [key for key, _ in module_algebra_residuals(t) if key[0] == "K"]
+        failed = [g for g, _ in check_invariant(L)]
+    assert k_labels and {i for _, i, _, _ in k_labels} == {1}
+    assert failed == [UqGen("E", 1), UqGen("K", 1), UqGen("Kinv", 1)]
+
+
 def _action_labels_in_full(n):
     """The labels of the action suite with every table checked on its own."""
     labels = [f"{tag}:{k}" for tag, mk in (("pol", pol_tables), ("rect", rect_tables))
@@ -460,7 +488,7 @@ def test_star_compat_explicit_example():
     t = pol_tables(n)
     znn = t.alg.gen("z", n, n)
     lhs = star_poly(act(t, UqGen("E", n), znn))
-    rhs = act_expr(t, star_of_antipode(UqGen("E", n), n), star_poly(znn))
+    rhs = act_expr(t, star_expr(antipode(UqGen("E", n)), n), star_poly(znn))
     assert lhs == rhs
 
 
