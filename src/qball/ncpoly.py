@@ -18,9 +18,9 @@ Every sum in the package, of polynomials, kernels or classical images, is
 accumulated into one dict by :func:`add_terms`, which adds ``(key, coeff)``
 pairs and drops a key as soon as its coefficient sums to zero;
 :meth:`Algebra.sum` builds a polynomial from many summands that way, and
-:func:`normalize` rewrites a whole linear combination of words into one.
-Algebras and polynomials are immutable after construction; the pair-rule
-cache only sees idempotent inserts.
+:func:`normalize` rewrites a linear combination of words, merging equal
+words before it rewrites them.  Algebras and polynomials are immutable after
+construction; the pair-rule cache only sees idempotent inserts.
 """
 
 from __future__ import annotations
@@ -150,43 +150,47 @@ def normalize(alg: Algebra, terms: Iterable) -> "NCPoly":
     """Normal form of a linear combination of ``(word, coeff)`` pairs with
     ``VScalar`` coefficients, so a product is a single call.
 
-    Every code is checked first.  The words are then rewritten in input
-    order, each left-most descent first, into one accumulator, with a budget
-    of ``MAX_REWRITE_STEPS`` per word.  By confluence, which
-    :func:`overlap_residuals` proves, the order does not change the result.
-
-    Rewriting at the left-most descent i leaves no descent before i - 1, as
-    ``w[:i+1]`` has none and rule words are normal: the search resumes there.
+    Every code is checked first.  Each wave then merges equal words, drops
+    those that cancel and rewrites the rest once, at the left-most descent,
+    into the next wave.  The budget is ``MAX_REWRITE_STEPS`` rewrites per
+    nonzero input term.  By confluence (:func:`overlap_residuals`) the
+    result does not depend on this order, but its term order is not the
+    input's.  A rewrite at i resumes the search at i - 1: ``w[:i+1]`` has
+    no descent and rule words are normal.  The descent depends on the word
+    alone, so merged words share it.
     """
     ngens = len(alg.gens)
-    pending = []
+    wave = []
     for w, c in terms:
         for g in w:
             if not 0 <= g < ngens:
                 raise UnknownGeneratorError(f"code {g} not in {alg.name}")
         if not c.is_zero():
-            pending.append((c, w, 0))
-    budget = MAX_REWRITE_STEPS * len(pending)
-    pending.reverse()
-    acc: dict = {}
-    steps = 0
-    while pending:
-        c, w, start = pending.pop()
-        pos = _find_descent(w, start)
-        if pos < 0:
-            add_terms(acc, ((w, c),))
-            continue
-        steps += 1
-        if steps > budget:
+            wave.append((w, c, 0))
+    budget, done = MAX_REWRITE_STEPS * len(wave), []
+    while wave:
+        pending: dict = {}
+        for w, c, start in wave:
+            hit = pending.pop(w, None)
+            if hit is None:
+                pos = _find_descent(w, start)
+            else:
+                pos, c = hit[0], c + hit[1]
+            if pos < 0:
+                done.append((w, c))
+            elif c:
+                pending[w] = (pos, c)
+        budget -= len(pending)
+        if budget < 0:
             raise RewriteLimitExceeded(
                 f"{alg.name}: rewrite budget exhausted (non-terminating table?)")
-        head, tail, start = w[:pos], w[pos + 2:], pos - 1 if pos else 0
-        for rc, rw in alg.pair_rule(w[pos], w[pos + 1]):
-            pending.append((c * rc, head + rw + tail, start))
-    return NCPoly(alg, acc)
+        wave = [(w[:pos] + rw + w[pos + 2:], c * rc, pos - 1 if pos else 0)
+                for w, (pos, c) in pending.items()
+                for rc, rw in alg.pair_rule(w[pos], w[pos + 1])]
+    return NCPoly(alg, add_terms({}, done))
 
 
-def _find_descent(w: tuple, start: int = 0) -> int:
+def _find_descent(w: tuple, start: int) -> int:
     for i in range(start, len(w) - 1):
         if w[i] > w[i + 1]:
             return i
@@ -266,7 +270,7 @@ class NCPoly:
     def coeff(self, word) -> VScalar:
         """Coefficient of a canonical word (error on non-canonical input)."""
         word = tuple(word)
-        if _find_descent(word) >= 0:
+        if _find_descent(word, 0) >= 0:
             raise ValueError(f"{word} is not a canonical word")
         return self.terms.get(word, ZERO)
 

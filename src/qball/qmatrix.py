@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .algebras import matrix_algebra
-from .ncpoly import Algebra, NCPoly
+from .ncpoly import Algebra, NCPoly, normalize
 from .scalars import neg_qpow
 
 
@@ -55,17 +55,17 @@ def l_pairs(I, J) -> int:
 def laplace_residuals(n: int):
     """Residuals of the two ordered Laplace splittings of det_q in
     C[Mat_2n]_q, labelled "direct-order" and "reversed-order": both must
-    be exactly zero."""
+    be exactly zero.  Each side is one ``normalize`` of all word pairs."""
     alg = matrix_algebra(2 * n, 2 * n)
     det = qdet(alg, 2 * n)
-    top = tuple(range(1, n + 1))
-    bot = tuple(range(n + 1, 2 * n + 1))
     splits = []
     for J in combinations(range(1, 2 * n + 1), n):
         Jc = tuple(j for j in range(1, 2 * n + 1) if j not in J)
-        splits.append((l_pairs(J, Jc), qminor(alg, top, J), qminor(alg, bot, Jc)))
-    s1 = alg.sum((mt * mb).scale(neg_qpow(ell)) for ell, mt, mb in splits)
-    s2 = alg.sum((mb * mt).scale(neg_qpow(-ell)) for ell, mt, mb in splits)
+        splits.append((l_pairs(J, Jc), qminor(alg, range(1, n + 1), J),
+                       qminor(alg, range(n + 1, 2 * n + 1), Jc)))
+    s1, s2 = (normalize(alg, ((w1 + w2, neg_qpow(ell) * c1 * c2) for ell, a, b in side
+                              for w1, c1 in a.terms.items() for w2, c2 in b.terms.items()))
+              for side in (splits, [(-ell, mb, mt) for ell, mt, mb in splits]))
     return [("direct-order", s1 - det), ("reversed-order", s2 - det)]
 
 

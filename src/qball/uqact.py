@@ -189,16 +189,11 @@ def _leibniz_terms(t: ActionTables, g: UqGen, word: tuple, c: VScalar,
     return out
 
 
-def _normal_form(alg: Algebra, terms: list) -> NCPoly:
-    """``normalize`` of a term list, with no call when the list is empty."""
-    return normalize(alg, terms) if terms else alg.zero()
-
-
 def act(t: ActionTables, g: UqGen, p: NCPoly) -> NCPoly:
     """``g`` on a polynomial.  K_i^{+-1} scales each word by its power of
     v.  For E_i and F_i the Leibniz terms of every word of p, with its
-    coefficient folded in, go into one ``normalize`` call, or zero comes
-    back without a call when ``g`` kills every letter."""
+    coefficient folded in, go into one ``normalize`` call, which returns
+    zero from an empty list when ``g`` kills every letter."""
     if g.kind in ("K", "Kinv"):
         sign = 1 if g.kind == "K" else -1
         return NCPoly(t.alg, {w: c * vpow(sign * t.k_exponent(g.i, w))
@@ -206,7 +201,7 @@ def act(t: ActionTables, g: UqGen, p: NCPoly) -> NCPoly:
     terms: list = []
     for w, c in p.terms.items():
         _leibniz_terms(t, g, w, c, terms)
-    return _normal_form(t.alg, terms)
+    return normalize(t.alg, terms)
 
 
 def act_word(t: ActionTables, g: UqGen, word: tuple) -> NCPoly:
@@ -290,7 +285,8 @@ def module_algebra_residuals(t: ActionTables):
     E(a) b + K(a) a E(b) or F(a) K^-1(b) b + a F(b), is the Leibniz sum on
     the word a b itself, read straight from the tables.  The left side's
     Leibniz terms and the right side's, negated, go into one ``normalize``
-    call, whose value is lhs - rhs.  For K the right side is K(a) K(b) a b.
+    call, whose value is lhs - rhs; an empty list, when xi kills both
+    letters, gives zero.  For K the right side is K(a) K(b) a b.
     """
     alg = t.alg
     out = []
@@ -306,7 +302,7 @@ def module_algebra_residuals(t: ActionTables):
                         terms = _leibniz_terms(t, g, (ga, gb), -ONE, [])
                         for w, c in prod.terms.items():
                             _leibniz_terms(t, g, w, c, terms)
-                        r = _normal_form(alg, terms)
+                        r = normalize(alg, terms)
                     if not r.is_zero():
                         out.append(((kind, i, ga, gb), r))
     return out

@@ -6,10 +6,11 @@ import pytest
 
 from qball.algebras import bidegree, boundary_algebra, matrix_algebra, pol_algebra
 from qball.kernels import poisson_space
-from qball import ncpoly
+from qball import ncpoly, qmatrix
 from qball.ncpoly import (MAX_REWRITE_STEPS, Algebra, Generator, NCPoly,
                           RewriteLimitExceeded, UnknownGeneratorError,
                           add_terms, normalize, overlap_residuals)
+from qball.qmatrix import qdet
 from qball.scalars import ONE, qpow
 
 ALGEBRAS = lambda: [pol_algebra(1), pol_algebra(2),
@@ -94,8 +95,9 @@ def test_rewrite_budget_is_per_input_word(monkeypatch):
 
 
 def _normalize_rescan(alg, terms):
-    """The normalizer as it was before the descent search resumed: every
-    word popped is searched for its left-most descent from position 0."""
+    """The pop-and-push normalizer: the words are rewritten one at a time,
+    with no merging, and every word popped is searched for its left-most
+    descent from position 0."""
     ngens = len(alg.gens)
     pending = []
     for w, c in terms:
@@ -129,9 +131,7 @@ def _random_poly(rng, alg, terms, max_len):
                    for _ in range(terms))
 
 
-def test_products_match_the_rescan_reference(monkeypatch):
-    # a product gives the same terms, in the same order, from the same
-    # pair_rule calls as rescanning each word from position 0
+def _counting_pair_rule(monkeypatch):
     calls = [0]
     pair_rule = Algebra.pair_rule
 
@@ -140,6 +140,26 @@ def test_products_match_the_rescan_reference(monkeypatch):
         return pair_rule(alg, g, h)
 
     monkeypatch.setattr(Algebra, "pair_rule", counting)
+    return calls
+
+
+def _laplace_sides(n, monkeypatch):
+    """The two term lists that ``laplace_residuals(n)`` normalizes, one per
+    side of the splitting; in the reversed order many splittings reach the
+    same words."""
+    sides = []
+    with monkeypatch.context() as m:
+        m.setattr(qmatrix, "normalize", lambda alg, terms: sides.append(
+            (alg, list(terms))) or normalize(*sides[-1]))
+        qmatrix.laplace_residuals(n)
+    return sides
+
+
+def test_products_match_the_rescan_reference(monkeypatch):
+    # a product gives the same polynomial as rewriting each word on its own,
+    # from no more pair_rule calls; merging equal words of the Laplace side
+    # must save some
+    calls = _counting_pair_rule(monkeypatch)
     rng = random.Random(2204)
     for alg in ALGEBRAS() + [pol_algebra(3)]:
         for _ in range(40):
@@ -149,9 +169,14 @@ def test_products_match_the_rescan_reference(monkeypatch):
                                            for w1, c1 in a.terms.items()
                                            for w2, c2 in b.terms.items()])
             want_calls, calls[0] = calls[0], 0
-            got = a * b
-            assert list(got.terms.items()) == list(want.terms.items()), alg.name
-            assert calls[0] == want_calls, alg.name
+            assert a * b == want, alg.name
+            assert calls[0] <= want_calls, alg.name
+    alg, terms = _laplace_sides(2, monkeypatch)[1]
+    calls[0] = 0
+    want = _normalize_rescan(alg, terms)
+    want_calls, calls[0] = calls[0], 0
+    assert normalize(alg, terms) == want == qdet(alg, 4)
+    assert 0 < calls[0] < want_calls
 
 
 def test_powers_equal_repeated_multiplication(monkeypatch):
@@ -192,25 +217,26 @@ def _resume_inputs():
 
 def test_resumed_descent_search_matches_the_rescan_reference(monkeypatch):
     # every word of length <= 4 over three n = 2 algebras and random words
-    # of length <= 8 over pol_algebra(3): the same terms, in the same
-    # order, from the same number of rewrites (pair_rule calls)
-    calls = [0]
-    pair_rule = Algebra.pair_rule
-
-    def counting(alg, g, h):
-        calls[0] += 1
-        return pair_rule(alg, g, h)
-
-    monkeypatch.setattr(Algebra, "pair_rule", counting)
+    # of length <= 8 over pol_algebra(3): the same terms, in the same order,
+    # from the same number of rewrites (pair_rule calls) as the same loop
+    # searching every word from position 0; the same polynomial as the
+    # pop-and-push reference, from no more rewrites
+    calls = _counting_pair_rule(monkeypatch)
+    find_descent = ncpoly._find_descent
     inputs = steps = 0
     for alg, w in _resume_inputs():
         terms = [(w, qpow(1))]
         calls[0] = 0
         want = _normalize_rescan(alg, terms)
         want_calls, calls[0] = calls[0], 0
+        monkeypatch.setattr(ncpoly, "_find_descent", lambda w, start: find_descent(w, 0))
+        rescan = normalize(alg, terms)
+        rescan_calls, calls[0] = calls[0], 0
+        monkeypatch.setattr(ncpoly, "_find_descent", find_descent)
         got = normalize(alg, terms)
-        assert list(got.terms.items()) == list(want.terms.items()), (alg.name, w)
-        assert calls[0] == want_calls, (alg.name, w)
+        assert list(got.terms.items()) == list(rescan.terms.items()), (alg.name, w)
+        assert calls[0] == rescan_calls <= want_calls, (alg.name, w)
+        assert got == want, (alg.name, w)
         inputs, steps = inputs + 1, steps + want_calls
     assert inputs == 3 * sum(8 ** k for k in range(5)) + 400
     assert steps > inputs

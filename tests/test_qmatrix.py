@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from qball import qmatrix
 from qball.algebras import matrix_algebra
 from qball.ncpoly import NCPoly
 from qball.qmatrix import (centrality_residuals, inversions, l_pairs,
@@ -56,11 +57,23 @@ def test_qdet_is_central(n):
     assert all(r.is_zero() for _, r in centrality_residuals(n))
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_laplace_expansion_both_orders(n):
     res = laplace_residuals(n)
     assert [label for label, _ in res] == ["direct-order", "reversed-order"]
     assert all(r.is_zero() for _, r in res)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_laplace_residuals_catch_one_wrong_splitting_sign(n, monkeypatch):
+    # one more factor -q on the splitting J = {1, ..., n} only, inside the
+    # one-call path: both orders must leave a residual
+    real = qmatrix.l_pairs
+    bad = tuple(range(1, n + 1))
+    monkeypatch.setattr(qmatrix, "l_pairs", lambda I, J: real(I, J) + (I == bad))
+    res = laplace_residuals(n)
+    assert [label for label, r in res if not r.is_zero()] == ["direct-order",
+                                                              "reversed-order"]
 
 
 def test_laplace_negative_control_wrong_sign():
