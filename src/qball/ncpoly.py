@@ -151,13 +151,13 @@ def normalize(alg: Algebra, terms: Iterable) -> "NCPoly":
     ``VScalar`` coefficients, so a product is a single call.
 
     Every code is checked first.  Each wave then merges equal words, drops
-    those that cancel and rewrites the rest once, at the left-most descent,
-    into the next wave.  The budget is ``MAX_REWRITE_STEPS`` rewrites per
-    nonzero input term.  By confluence (:func:`overlap_residuals`) the
-    result does not depend on this order, but its term order is not the
-    input's.  A rewrite at i resumes the search at i - 1: ``w[:i+1]`` has
-    no descent and rule words are normal.  The descent depends on the word
-    alone, so merged words share it.
+    those that cancel, sends normal ones to the result and rewrites the rest
+    once, at the left-most descent, into the next wave.  The budget is
+    ``MAX_REWRITE_STEPS`` rewrites per nonzero input term.  By confluence
+    (:func:`overlap_residuals`) the result does not depend on this order,
+    but its term order is not the input's.  A rewrite at i resumes the
+    search at i - 1: ``w[:i+1]`` has no descent and rule words are normal.
+    The descent depends on the word alone, so merged words share it.
     """
     ngens = len(alg.gens)
     wave = []
@@ -168,33 +168,32 @@ def normalize(alg: Algebra, terms: Iterable) -> "NCPoly":
         if not c.is_zero():
             wave.append((w, c, 0))
     budget, done = MAX_REWRITE_STEPS * len(wave), []
-    while wave:
+    while True:
         pending: dict = {}
         for w, c, start in wave:
             hit = pending.pop(w, None)
-            if hit is None:
-                pos = _find_descent(w, start)
-            else:
+            if hit is not None:
                 pos, c = hit[0], c + hit[1]
-            if pos < 0:
-                done.append((w, c))
-            elif c:
+            else:
+                for pos in range(start, len(w) - 1):
+                    if w[pos] > w[pos + 1]:
+                        break
+                else:
+                    done.append((w, c))
+                    continue
+            if c:
                 pending[w] = (pos, c)
+        if not pending:
+            return NCPoly(alg, add_terms({}, done))
         budget -= len(pending)
         if budget < 0:
             raise RewriteLimitExceeded(
                 f"{alg.name}: rewrite budget exhausted (non-terminating table?)")
-        wave = [(w[:pos] + rw + w[pos + 2:], c * rc, pos - 1 if pos else 0)
-                for w, (pos, c) in pending.items()
-                for rc, rw in alg.pair_rule(w[pos], w[pos + 1])]
-    return NCPoly(alg, add_terms({}, done))
-
-
-def _find_descent(w: tuple, start: int) -> int:
-    for i in range(start, len(w) - 1):
-        if w[i] > w[i + 1]:
-            return i
-    return -1
+        wave = []
+        for w, (pos, c) in pending.items():
+            head, tail, start = w[:pos], w[pos + 2:], pos - 1 if pos else 0
+            for rc, rw in alg.pair_rule(w[pos], w[pos + 1]):
+                wave.append((head + rw + tail, c * rc, start))
 
 
 def overlap_residuals(alg: Algebra) -> list:
@@ -270,7 +269,7 @@ class NCPoly:
     def coeff(self, word) -> VScalar:
         """Coefficient of a canonical word (error on non-canonical input)."""
         word = tuple(word)
-        if _find_descent(word, 0) >= 0:
+        if any(a > b for a, b in zip(word, word[1:])):
             raise ValueError(f"{word} is not a canonical word")
         return self.terms.get(word, ZERO)
 
