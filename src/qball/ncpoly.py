@@ -150,14 +150,13 @@ def normalize(alg: Algebra, terms: Iterable) -> "NCPoly":
     """Normal form of a linear combination of ``(word, coeff)`` pairs with
     ``VScalar`` coefficients, so a product is a single call.
 
-    Every code is checked first.  Each wave then merges equal words, drops
-    those that cancel, sends normal ones to the result and rewrites the rest
-    once, at the left-most descent, into the next wave.  The budget is
+    Every code is checked first.  Each wave then sends normal words to the
+    result, merges equal words, drops those that cancel and rewrites the
+    rest once, at the left-most descent, into the next wave.  The budget is
     ``MAX_REWRITE_STEPS`` rewrites per nonzero input term.  By confluence
-    (:func:`overlap_residuals`) the result does not depend on this order,
-    but its term order is not the input's.  A rewrite at i resumes the
-    search at i - 1: ``w[:i+1]`` has no descent and rule words are normal.
-    The descent depends on the word alone, so merged words share it.
+    (:func:`overlap_residuals`) the result, though not its term order, does
+    not depend on this order.  A rewrite at i resumes the descent search at
+    i - 1: ``w[:i+1]`` has no descent and rule words are normal.
     """
     ngens = len(alg.gens)
     wave = []
@@ -171,18 +170,20 @@ def normalize(alg: Algebra, terms: Iterable) -> "NCPoly":
     while True:
         pending: dict = {}
         for w, c, start in wave:
-            hit = pending.pop(w, None)
-            if hit is not None:
-                pos, c = hit[0], c + hit[1]
+            for pos in range(start, len(w) - 1):
+                if w[pos] > w[pos + 1]:
+                    break
             else:
-                for pos in range(start, len(w) - 1):
-                    if w[pos] > w[pos + 1]:
-                        break
+                done.append((w, c))
+                continue
+            entry = (pos, c)
+            hit = pending.setdefault(w, entry)
+            if hit is not entry:
+                c += hit[1]
+                if c:
+                    pending[w] = (pos, c)
                 else:
-                    done.append((w, c))
-                    continue
-            if c:
-                pending[w] = (pos, c)
+                    del pending[w]
         if not pending:
             return NCPoly(alg, add_terms({}, done))
         budget -= len(pending)

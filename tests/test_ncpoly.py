@@ -134,16 +134,15 @@ def _normalize_waves_rescan(alg, terms):
     while True:
         pending = {}
         for w, c in wave:
-            hit = pending.pop(w, None)
-            if hit is not None:
-                pos, c = hit[0], c + hit[1]
-            else:
-                pos = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), -1)
-                if pos < 0:
-                    done.append((w, c))
-                    continue
-            if c:
+            pos = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), -1)
+            if pos < 0:
+                done.append((w, c))
+            elif w not in pending:
                 pending[w] = (pos, c)
+            elif c + pending[w][1]:
+                pending[w] = (pos, c + pending[w][1])
+            else:
+                del pending[w]
         if not pending:
             return NCPoly(alg, add_terms({}, done))
         wave = [(w[:pos] + rw + w[pos + 2:], c * rc)
