@@ -285,8 +285,8 @@ def module_algebra_residuals(t: ActionTables):
     E(a) b + K(a) a E(b) or F(a) K^-1(b) b + a F(b), is the Leibniz sum on
     the word a b itself, read straight from the tables.  The left side's
     Leibniz terms and the right side's, negated, go into one ``normalize``
-    call, whose value is lhs - rhs; an empty list, when xi kills both
-    letters, gives zero.  For K the right side is K(a) K(b) a b.
+    call, whose value is lhs - rhs; an empty list, when xi kills every
+    letter, gives zero.  For K the right side is K(a) K(b) a b.
     """
     alg = t.alg
     out = []
